@@ -87,9 +87,8 @@ pub fn grouped_apsq(
         "all PSUM tiles must share one shape"
     );
 
-    // One incremental step per tile — `StreamingApsq` IS the algorithm;
-    // this batch entry point just drives it, so the push-based and batch
-    // APIs stay bit-identical by construction.
+    // One `ApsqFold` step per tile through the push-based wrapper, so the
+    // push-based, batch and one-pass APIs share one implementation.
     let mut stream = crate::streaming::StreamingApsq::new(schedule.clone(), *config);
     for tile in tiles {
         stream.push_ref(tile);

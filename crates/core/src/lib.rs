@@ -20,10 +20,14 @@
 //! - [`apsq_recursion_reference`] — an independent eq (10) implementation
 //!   for cross-checking `gs = 1`;
 //! - [`grouped_apsq_f32`] — the float fake-quant twin used during QAT;
-//! - [`StreamingApsq`] / [`grouped_apsq_streamed`] — the incremental form:
-//!   one algorithm step per pushed tile, and an
-//!   [`apsq_tensor::ExecEngine`]-driven GEMM that folds APSQ quantization
-//!   directly into the K loop without materializing the tile stream;
+//! - [`ApsqFold`] — the one implementation of Algorithm 1 every entry
+//!   point runs: one in-place pass over a step-major PSUM buffer, with
+//!   reused scratch and the integer epilogues on the kernel backend,
+//!   under a frozen schedule or calibrating each step as it goes
+//!   ([`FoldScales`]);
+//! - [`StreamingApsq`] / [`grouped_apsq_streamed`] — the push-based form
+//!   (one fold step per pushed tile) and the GEMM form (the engine's
+//!   one-sweep PSUM buffer, folded in one pass);
 //! - [`exact_accumulate`] / [`psq_adc_reference`] — the baselines;
 //! - [`ScaleSchedule`] — per-step power-of-two scale calibration;
 //! - [`error_vs_group_size`] and friends — SQNR analysis.
@@ -48,6 +52,7 @@
 mod analysis;
 mod config;
 mod float_apsq;
+mod fold;
 mod grouped;
 mod reference;
 mod schedule;
@@ -60,6 +65,7 @@ pub use analysis::{
 };
 pub use config::{ApsqConfig, GroupSize};
 pub use float_apsq::{grouped_apsq_f32, FloatScaleSchedule};
+pub use fold::{ApsqFold, FoldScales};
 pub use grouped::{apsq_recursion_reference, grouped_apsq, ApsqRun};
 pub use reference::{exact_accumulate, psq_adc_reference};
 pub use schedule::ScaleSchedule;

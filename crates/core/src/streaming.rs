@@ -1,20 +1,20 @@
-//! Incremental (push-based) grouped APSQ, for simulators and execution
-//! engines that produce PSUM tiles one accumulation step at a time.
+//! Incremental (push-based) grouped APSQ, for simulators and engines that
+//! hand over PSUM tiles one accumulation step at a time, and the GEMM
+//! entry point that folds a whole PSUM stream in one pass.
 
 use crate::config::ApsqConfig;
+use crate::fold::{ApsqFold, FoldScales};
 use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
-use crate::traffic::BufferTraffic;
-use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor};
+use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor, KernelBackend};
 
-/// A truly incremental implementation of Algorithm 1 (grouped APSQ):
-/// each [`StreamingApsq::push`] executes one algorithm step immediately,
-/// so only the INT8 code bank — the state the hardware itself keeps — is
-/// retained between steps. The incoming PSUM tiles are **not** collected;
-/// peak tile memory is one tile regardless of stream length.
+/// Push-based grouped APSQ (Algorithm 1): each [`StreamingApsq::push`]
+/// runs one step of the [`ApsqFold`] immediately, appending the tile to a
+/// step-major buffer whose slots are overwritten by the stored codes as
+/// soon as the step is done — the code bank the hardware keeps.
 ///
-/// [`crate::grouped_apsq`] is a thin batch wrapper over this type, so the
-/// two stay bit-identical by construction.
+/// [`crate::grouped_apsq`] drives this type, so the push-based, batch and
+/// one-pass entry points share one implementation.
 ///
 /// # Examples
 ///
@@ -34,25 +34,28 @@ use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor};
 pub struct StreamingApsq {
     schedule: ScaleSchedule,
     config: ApsqConfig,
+    backend: KernelBackend,
     step: usize,
     shape: Option<apsq_tensor::Shape>,
-    stored_codes: Vec<Vec<i32>>,
-    traffic: BufferTraffic,
-    output: Option<Int32Tensor>,
+    /// Stored codes of the steps taken so far, step-major.
+    codes: Vec<i32>,
+    fold: ApsqFold,
+    output: Vec<i32>,
 }
 
 impl StreamingApsq {
-    /// Creates a stream expecting `schedule.len()` tiles.
+    /// Creates a stream expecting `schedule.len()` tiles, folding on the
+    /// detected kernel backend.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
-        let np = schedule.len();
         StreamingApsq {
             schedule,
             config,
+            backend: KernelBackend::detect(),
             step: 0,
             shape: None,
-            stored_codes: Vec::with_capacity(np),
-            traffic: BufferTraffic::new(),
-            output: None,
+            codes: Vec::new(),
+            fold: ApsqFold::new(),
+            output: Vec::new(),
         }
     }
 
@@ -76,9 +79,7 @@ impl StreamingApsq {
         self.push_ref(&tile);
     }
 
-    /// Pushes the next PSUM tile by reference — the zero-copy entry point
-    /// for engines that stream tiles through one reusable buffer
-    /// ([`ExecEngine::int8_for_each_k_tile`]).
+    /// Pushes the next PSUM tile by reference.
     ///
     /// # Panics
     ///
@@ -88,61 +89,17 @@ impl StreamingApsq {
         assert!(self.step < np, "stream already received all {} tiles", np);
         match &self.shape {
             Some(shape) => assert_eq!(shape, tile.shape(), "all PSUM tiles must share one shape"),
-            None => self.shape = Some(tile.shape().clone()),
+            None => {
+                self.shape = Some(tile.shape().clone());
+                self.codes.reserve(np * tile.numel());
+                self.output = vec![0; tile.numel()];
+                self.fold.begin(tile.numel(), np, self.config.group_size);
+            }
         }
-        let numel = tile.numel();
-        let gs = self.config.group_size.get();
-        let i = self.step;
-        let is_apsq_step = i.is_multiple_of(gs);
-        let is_final = i == np - 1;
-        let scale = self.schedule.scale(i);
-
-        // The per-tile inner loops below all run through the branch-free
-        // slice epilogues in `apsq-quant` (`quantize_clamped_i64_into`,
-        // `dequantize_accumulate`), which are bit-identical to the scalar
-        // `quantize`/`dequantize` maps — `apsq_recursion_reference` stays
-        // scalar on purpose as the cross-check.
-        if is_apsq_step {
-            // Lines 4–7: accumulate the previous group (if any) + Tp_i.
-            // Seeding the accumulator from the tile instead of zeroing it
-            // saves a whole pass; integer adds make the regrouping exact.
-            let mut acc: Vec<i64> = tile.data().iter().map(|&t| t as i64).collect();
-            if i > 0 {
-                for l in i - gs..i {
-                    let ls = self.schedule.scale(l);
-                    ls.dequantize_accumulate(&self.stored_codes[l], &mut acc);
-                    self.traffic.reads += numel as u64;
-                }
-            }
-            let mut codes = Vec::new();
-            scale.quantize_clamped_i64_into(&acc, &mut codes);
-            self.traffic.writes += numel as u64;
-            if is_final {
-                self.output = Some(dequant_tile(&codes, scale, tile));
-            }
-            self.stored_codes.push(codes);
-        } else if !is_final {
-            // Lines 9–11: plain PSUM quantization of Tp_i.
-            let mut codes = Vec::new();
-            scale.quantize_slice_into(tile.data(), &mut codes);
-            self.traffic.writes += numel as u64;
-            self.stored_codes.push(codes);
-        } else {
-            // Lines 13–14: final tile inside a group — fold the stored
-            // group prefix with Tp_{np−1} and produce To.
-            let group_start = (i / gs) * gs;
-            let mut acc: Vec<i64> = tile.data().iter().map(|&t| t as i64).collect();
-            for l in group_start..i {
-                let ls = self.schedule.scale(l);
-                ls.dequantize_accumulate(&self.stored_codes[l], &mut acc);
-                self.traffic.reads += numel as u64;
-            }
-            let mut codes = Vec::new();
-            scale.quantize_clamped_i64_into(&acc, &mut codes);
-            self.traffic.writes += numel as u64;
-            self.output = Some(dequant_tile(&codes, scale, tile));
-            self.stored_codes.push(codes);
-        }
+        self.codes.extend_from_slice(tile.data());
+        let scale = self.schedule.scale(self.step);
+        self.fold
+            .step(self.backend, &mut self.codes, scale, Some(&mut self.output));
         self.step += 1;
     }
 
@@ -159,27 +116,29 @@ impl StreamingApsq {
             self.step,
             self.schedule.len()
         );
+        let shape = self.shape.expect("a finished stream received tiles");
+        let numel = self.output.len();
         ApsqRun {
-            output: self
-                .output
-                .expect("final step always produces the output tile"),
-            stored_codes: self.stored_codes,
-            traffic: self.traffic,
+            output: Int32Tensor::from_vec(self.output, shape),
+            stored_codes: split_steps(&self.codes, numel, self.step),
+            traffic: self.fold.traffic(),
         }
     }
 }
 
-fn dequant_tile(codes: &[i32], scale: apsq_quant::Pow2Scale, like: &Int32Tensor) -> Int32Tensor {
-    let mut out = Vec::new();
-    scale.dequantize_slice_into(codes, &mut out);
-    Int32Tensor::from_vec(out, like.shape().clone())
+/// Splits a step-major code buffer into one `Vec` per step.
+fn split_steps(codes: &[i32], numel: usize, np: usize) -> Vec<Vec<i32>> {
+    (0..np)
+        .map(|i| codes[i * numel..(i + 1) * numel].to_vec())
+        .collect()
 }
 
-/// Grouped APSQ folded directly into the K loop of an INT8 GEMM: the
-/// engine streams each `Pci`-deep PSUM tile of `a · b` through one
-/// reusable buffer, and each tile is quantized/accumulated the moment it
-/// is produced — no `Vec<Int32Tensor>` is ever materialized. This is the
-/// software shape of the RAE sitting next to the PE array.
+/// Grouped APSQ over the PSUM stream of an INT8 GEMM `a · b` (`b` stored
+/// `[K, N]`): the engine writes every `k_tile`-deep tile of the product
+/// into one step-major buffer in a single sweep over K
+/// ([`ExecEngine::int8_psums_into`]), and one [`ApsqFold`] pass folds
+/// it — no `Vec<Int32Tensor>` is ever materialized. This is the software
+/// shape of the RAE sitting next to the PE array.
 ///
 /// Produces exactly the same [`ApsqRun`] as running [`crate::grouped_apsq`]
 /// over [`apsq_tensor::int8_matmul_psum_tiles`] (verified by property
@@ -220,7 +179,17 @@ pub fn grouped_apsq_streamed(
     config: &ApsqConfig,
 ) -> ApsqRun {
     assert!(k_tile > 0, "k_tile must be positive");
-    let k = a.dims()[1];
+    assert!(
+        a.shape().rank() == 2 && b.shape().rank() == 2,
+        "grouped_apsq_streamed expects rank-2 operands"
+    );
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    assert_eq!(
+        b.dims()[0],
+        k,
+        "inner dimensions {k} vs {} disagree",
+        b.dims()[0]
+    );
     let np = k.div_ceil(k_tile);
     assert_eq!(
         schedule.len(),
@@ -229,9 +198,23 @@ pub fn grouped_apsq_streamed(
         schedule.len(),
         np
     );
-    let mut stream = StreamingApsq::new(schedule.clone(), *config);
-    engine.int8_for_each_k_tile(a, b, k_tile, |_, tile| stream.push_ref(tile));
-    stream.finish()
+    let numel = m * n;
+    let mut psums = vec![0i32; np * numel];
+    engine.int8_psums_into(a.data(), b.data(), n, n, k, k_tile, &mut psums);
+    let mut output = vec![0i32; numel];
+    let traffic = ApsqFold::new().run(
+        engine.backend(),
+        &mut psums,
+        numel,
+        config.group_size,
+        FoldScales::Frozen(schedule),
+        &mut output,
+    );
+    ApsqRun {
+        output: Int32Tensor::from_vec(output, [m, n]),
+        stored_codes: split_steps(&psums, numel, np),
+        traffic,
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,71 @@
 
 use apsq_core::{
     apsq_recursion_reference, exact_accumulate, grouped_apsq, grouped_apsq_f32,
-    grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule,
+    grouped_apsq_streamed, ApsqConfig, ApsqFold, FloatScaleSchedule, FoldScales, GroupSize,
+    ScaleSchedule, StreamingApsq,
 };
-use apsq_quant::Bitwidth;
-use apsq_tensor::{int8_matmul_psum_tiles, ExecEngine, Int32Tensor, Int8Tensor};
+use apsq_quant::{Bitwidth, Pow2Scale};
+use apsq_tensor::{int8_matmul_psum_tiles, ExecEngine, Int32Tensor, Int8Tensor, KernelBackend};
 use proptest::prelude::*;
+
+/// Algorithm 1 written out naively from the paper, element by element
+/// with the scalar `Pow2Scale` maps and exact `i64` sums — an oracle
+/// independent of the fold and its kernels. `pick(i, max_abs)` chooses
+/// step `i`'s scale from the largest magnitude entering its quantizer
+/// (saturated to i32, floored at 1). Returns the output tile, the stored
+/// codes and the chosen scales.
+fn naive_algorithm1(
+    tiles: &[Vec<i32>],
+    gs: usize,
+    mut pick: impl FnMut(usize, i32) -> Pow2Scale,
+) -> (Vec<i32>, Vec<Vec<i32>>, Vec<Pow2Scale>) {
+    let np = tiles.len();
+    let mut codes: Vec<Vec<i32>> = Vec::new();
+    let mut scales: Vec<Pow2Scale> = Vec::new();
+    for (i, tile) in tiles.iter().enumerate() {
+        let reads = if i % gs == 0 {
+            i.saturating_sub(gs)..i
+        } else if i == np - 1 {
+            (i / gs) * gs..i
+        } else {
+            i..i
+        };
+        let input: Vec<i64> = (0..tile.len())
+            .map(|j| {
+                let mut x = tile[j] as i64;
+                for l in reads.clone() {
+                    x += scales[l].dequantize(codes[l][j]) as i64;
+                }
+                x
+            })
+            .collect();
+        let max_abs = input.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        let scale = pick(i, max_abs.clamp(1, i32::MAX as u64) as i32);
+        let clamp = |x: i64| x.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+        codes.push(input.iter().map(|&x| scale.quantize(clamp(x))).collect());
+        scales.push(scale);
+    }
+    let last = scales[np - 1];
+    let out = codes[np - 1].iter().map(|&c| last.dequantize(c)).collect();
+    (out, codes, scales)
+}
+
+/// Raw PSUM tiles for the fold properties: moderate words, or (with
+/// `big`) words across the whole i32 range that saturate the dequantize
+/// shifter and the i32 clamp of the group sums.
+fn raw_tiles() -> impl Strategy<Value = (Vec<Vec<i32>>, bool)> {
+    (1usize..10, 1usize..20, any::<bool>()).prop_flat_map(|(np, numel, big)| {
+        let word = if big {
+            any::<i32>().boxed()
+        } else {
+            (-40_000i32..40_000).boxed()
+        };
+        (
+            proptest::collection::vec(proptest::collection::vec(word, numel..=numel), np..=np),
+            Just(big),
+        )
+    })
+}
 
 fn stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
     (1usize..12, 1usize..16).prop_flat_map(|(np, numel)| {
@@ -172,5 +232,128 @@ proptest! {
         let b = grouped_apsq(&stream, &sched, &ApsqConfig::int8(gs));
         prop_assert_eq!(a.output, b.output);
         prop_assert_eq!(a.stored_codes, b.stored_codes);
+    }
+
+    /// The one-pass fold equals the naive Algorithm 1 oracle, the
+    /// push-based `StreamingApsq` (output, code bank, traffic), and — at
+    /// gs = 1 — the eq (10) recursion, for every group size in
+    /// `1..=np+1`, random frozen exponents up to 30, any bit-width, every
+    /// kernel backend, and operands that hit the saturation clamps.
+    #[test]
+    fn fold_equals_reference_and_streaming(
+        (tiles, _big) in raw_tiles(),
+        exps in proptest::collection::vec(0u32..=30, 10),
+        bits in prop_oneof![Just(4u8), Just(8), Just(16), Just(32)],
+    ) {
+        let np = tiles.len();
+        let numel = tiles[0].len();
+        let bw = Bitwidth::new(bits);
+        let sched = ScaleSchedule::from_exponents(&exps[..np], bw);
+        let tensors: Vec<Int32Tensor> =
+            tiles.iter().map(|t| Int32Tensor::from_vec(t.clone(), [numel])).collect();
+        for gs in 1..=np + 1 {
+            let (want_out, want_codes, _) = naive_algorithm1(&tiles, gs, |i, _| sched.scale(i));
+            let cfg = ApsqConfig { bits: bw, group_size: GroupSize::new(gs) };
+            let mut stream = StreamingApsq::new(sched.clone(), cfg);
+            for t in &tensors {
+                stream.push_ref(t);
+            }
+            let streamed = stream.finish();
+            prop_assert_eq!(streamed.output.data(), &want_out[..], "streaming gs={}", gs);
+            prop_assert_eq!(&streamed.stored_codes, &want_codes, "streaming gs={}", gs);
+            if gs == 1 {
+                prop_assert_eq!(&apsq_recursion_reference(&tensors, &sched), &streamed.output);
+            }
+            for bk in KernelBackend::supported() {
+                let mut psums = tiles.concat();
+                let mut out = vec![0i32; numel];
+                let traffic = ApsqFold::new().run(
+                    bk, &mut psums, numel, GroupSize::new(gs), FoldScales::Frozen(&sched), &mut out,
+                );
+                prop_assert_eq!(&out, &want_out, "fold gs={} on {}", gs, bk);
+                prop_assert_eq!(&psums, &want_codes.concat(), "codes gs={} on {}", gs, bk);
+                prop_assert_eq!(traffic, streamed.traffic, "traffic gs={} on {}", gs, bk);
+            }
+        }
+    }
+
+    /// The calibrating fold commits exactly the schedule
+    /// `ScaleSchedule::calibrate` returns and the naive oracle picks,
+    /// and produces the output, codes and traffic of `grouped_apsq` run
+    /// with that schedule — calibrate and fold in one pass.
+    #[test]
+    fn calibrating_fold_equals_calibrate_then_grouped(
+        (tiles, _big) in raw_tiles(),
+        gs in 1usize..11,
+        bits in prop_oneof![Just(4u8), Just(8), Just(16)],
+    ) {
+        let numel = tiles[0].len();
+        let bw = Bitwidth::new(bits);
+        let tensors: Vec<Int32Tensor> =
+            tiles.iter().map(|t| Int32Tensor::from_vec(t.clone(), [numel])).collect();
+        let sched = ScaleSchedule::calibrate(std::slice::from_ref(&tensors), bw, GroupSize::new(gs));
+        let (want_out, want_codes, want_scales) =
+            naive_algorithm1(&tiles, gs, |_, m| Pow2Scale::covering(m, bw));
+        prop_assert_eq!(sched.scales(), &want_scales[..]);
+        let batch = grouped_apsq(&tensors, &sched, &ApsqConfig { bits: bw, group_size: GroupSize::new(gs) });
+        prop_assert_eq!(batch.output.data(), &want_out[..]);
+        prop_assert_eq!(&batch.stored_codes, &want_codes);
+        for bk in KernelBackend::supported() {
+            let mut fold = ApsqFold::new();
+            let mut psums = tiles.concat();
+            let mut out = vec![0i32; numel];
+            let traffic = fold.run(
+                bk, &mut psums, numel, GroupSize::new(gs), FoldScales::Calibrate(bw), &mut out,
+            );
+            prop_assert_eq!(fold.scales(), sched.scales(), "schedule on {}", bk);
+            prop_assert_eq!(&out, &want_out, "output on {}", bk);
+            prop_assert_eq!(&psums, &want_codes.concat(), "codes on {}", bk);
+            prop_assert_eq!(traffic, batch.traffic, "traffic on {}", bk);
+        }
+    }
+
+    /// The engine's one-sweep PSUM buffer folded by the calibrating fold
+    /// equals calibrate + `grouped_apsq` over the collected K tiles of
+    /// the same GEMM, for k-tiles that do not divide K and every thread
+    /// count — the prefill and attention serving path.
+    #[test]
+    fn gemm_calibrating_fold_equals_collected_tiles(
+        (m, k, n) in (1usize..6, 2usize..70, 1usize..9),
+        k_tile in 1usize..20,
+        gs in 1usize..6,
+        threads in 1usize..4,
+        seed in any::<u32>(),
+    ) {
+        let a: Vec<i8> = (0..m * k)
+            .map(|x| ((x as u32).wrapping_mul(37).wrapping_add(seed) % 255) as i8)
+            .collect();
+        let bt: Vec<i8> = (0..n * k)
+            .map(|x| ((x as u32).wrapping_mul(73).wrapping_add(seed / 3) % 251) as i8)
+            .collect();
+        let mut b = vec![0i8; k * n];
+        for j in 0..n {
+            for l in 0..k {
+                b[l * n + j] = bt[j * k + l];
+            }
+        }
+        let tiles = int8_matmul_psum_tiles(
+            &Int8Tensor::from_vec(a.clone(), [m, k]),
+            &Int8Tensor::from_vec(b, [k, n]),
+            k_tile,
+        );
+        let sched = ScaleSchedule::calibrate(std::slice::from_ref(&tiles), Bitwidth::INT8, GroupSize::new(gs));
+        let batch = grouped_apsq(&tiles, &sched, &ApsqConfig::int8(gs));
+        let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
+        let mut psums = vec![0i32; tiles.len() * m * n];
+        eng.int8_bt_psums_into(&a, &bt, k, k_tile, &mut psums);
+        let mut out = vec![0i32; m * n];
+        let mut fold = ApsqFold::new();
+        let traffic = fold.run(
+            eng.backend(), &mut psums, m * n, GroupSize::new(gs),
+            FoldScales::Calibrate(Bitwidth::INT8), &mut out,
+        );
+        prop_assert_eq!(fold.scales(), sched.scales());
+        prop_assert_eq!(&out[..], batch.output.data());
+        prop_assert_eq!(traffic, batch.traffic);
     }
 }

@@ -15,7 +15,7 @@
 //! preserving the reduction depth `Ci·Kh·Kw` — the dimension APSQ tiles —
 //! so PSUM streams stay representative.
 
-use apsq_core::{grouped_apsq, ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule};
+use apsq_core::{ApsqFold, BufferTraffic, FoldScales, GroupSize};
 use apsq_dataflow::{LayerShape, Workload};
 use apsq_quant::Bitwidth;
 use apsq_tensor::{ExecEngine, Int8Tensor, Tensor};
@@ -153,22 +153,32 @@ pub fn execute_layer(
                 wrapping_bits_sum(eng.matmul(&a, &b).data())
             }
             Precision::Int8Apsq => {
-                let a = synthetic_i8(tokens * ci, 0x5eed).reshape2(tokens, ci);
-                let b = synthetic_i8(ci * co, 0xca1f).reshape2(ci, co);
+                let a = synthetic_i8(tokens * ci, 0x5eed);
+                // The [ci, co] weight fill laid out transposed, [co, ci]
+                // (the same values): the PSUM kernel's weight layout.
+                let b = synthetic_i8(ci * co, 0xca1f);
+                let mut bt = vec![0i8; co * ci];
+                for (l, row) in b.chunks_exact(co).enumerate() {
+                    for (j, &v) in row.iter().enumerate() {
+                        bt[j * ci + l] = v;
+                    }
+                }
+                // One sweep writes every 64-channel PSUM tile, and one
+                // calibrating fold pass commits each step's scale and
+                // quantizes it.
                 let k_tile = ci.min(64);
-                // Calibration needs every tile at once, so the GEMM runs
-                // exactly once and the collected stream is folded directly
-                // (bit-identical to the streamed fold by construction) —
-                // no second GEMM pass in the serving prefill hot path.
-                let tiles = eng.int8_matmul_psum_tiles(&a, &b, k_tile);
-                let sched = ScaleSchedule::calibrate(
-                    std::slice::from_ref(&tiles),
-                    Bitwidth::INT8,
+                let mut psums = vec![0i32; ci.div_ceil(k_tile) * tokens * co];
+                eng.int8_bt_psums_into(&a, &bt, ci, k_tile, &mut psums);
+                let mut out = vec![0i32; tokens * co];
+                psum_traffic = ApsqFold::new().run(
+                    eng.backend(),
+                    &mut psums,
+                    tokens * co,
                     GroupSize::new(APSQ_GS),
+                    FoldScales::Calibrate(Bitwidth::INT8),
+                    &mut out,
                 );
-                let run = grouped_apsq(&tiles, &sched, &ApsqConfig::int8(APSQ_GS));
-                psum_traffic = run.traffic;
-                wrapping_sum(run.output.data())
+                wrapping_sum(&out)
             }
         };
         (checksum, (tokens * ci * co) as u64)
@@ -202,12 +212,9 @@ pub fn execute_layer(
                 wrapping_bits_sum(eng.matmul_bt(&lowered, &wmat).data())
             }
             Precision::Int8Apsq => {
-                let input =
-                    Int8Tensor::from_vec(synthetic_i8(ci * hi * wi, 0x5eed).data, [ci, hi, wi]);
-                let weight = Int8Tensor::from_vec(
-                    synthetic_i8(co * ci * k * k, 0xca1f).data,
-                    [co, ci, k, k],
-                );
+                let input = Int8Tensor::from_vec(synthetic_i8(ci * hi * wi, 0x5eed), [ci, hi, wi]);
+                let weight =
+                    Int8Tensor::from_vec(synthetic_i8(co * ci * k * k, 0xca1f), [co, ci, k, k]);
                 wrapping_sum(eng.conv2d_i8_gemm(&input, &weight, stride).data())
             }
         };
@@ -259,20 +266,10 @@ pub fn execute_workloads(
         .collect()
 }
 
-struct SyntheticVec {
-    data: Vec<i8>,
-}
-
-impl SyntheticVec {
-    fn reshape2(self, m: usize, n: usize) -> Int8Tensor {
-        Int8Tensor::from_vec(self.data, [m, n])
-    }
-}
-
 /// Deterministic pseudo-random i8 fill (xorshift-mixed index), independent
 /// of any RNG crate so workload checksums are stable across the workspace.
-fn synthetic_i8(n: usize, salt: u64) -> SyntheticVec {
-    let data = (0..n)
+fn synthetic_i8(n: usize, salt: u64) -> Vec<i8> {
+    (0..n)
         .map(|i| {
             let mut x = (i as u64)
                 .wrapping_add(salt)
@@ -282,15 +279,13 @@ fn synthetic_i8(n: usize, salt: u64) -> SyntheticVec {
             x ^= x >> 32;
             (x % 255) as i8
         })
-        .collect();
-    SyntheticVec { data }
+        .collect()
 }
 
 /// The same deterministic fill as [`synthetic_i8`], scaled by 2⁻⁴ into a
 /// small exact-in-f32 range — f32 and int8 runs see "the same" data.
 fn synthetic_f32(n: usize, salt: u64) -> Vec<f32> {
     synthetic_i8(n, salt)
-        .data
         .iter()
         .map(|&v| v as f32 * 0.0625)
         .collect()

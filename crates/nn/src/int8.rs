@@ -1,16 +1,20 @@
 //! The true integer inference datapath: i8×i8→i32 GEMMs with grouped
-//! APSQ folded into the K loop, produced from trained fake-quant models
+//! APSQ folded over the K axis, produced from trained fake-quant models
 //! by a PTQ conversion pass.
 //!
 //! [`QuantLinear`] *simulates* the W8A8 + APSQ accumulation path in f32
 //! (fake quantization). [`Int8Linear`] *executes* it: activations are
 //! quantized to i8 codes, weights are stored as i8 codes in the
-//! weight-stationary `[out, in]` layout, the GEMM runs through
-//! [`ExecEngine::int8_bt_for_each_k_tile`], and every `Pci`-deep PSUM
-//! tile is pushed into a [`StreamingApsq`] fold the moment it is produced
-//! — exactly the dataflow of the RAE sitting next to the PE array.
-//! Nothing leaves the integer domain between the input quantizer and the
-//! single dequantize-and-bias epilogue.
+//! weight-stationary `[out, in]` layout, one sweep over K writes every
+//! `Pci`-deep PSUM tile into a step-major buffer
+//! ([`ExecEngine::int8_bt_psums_into`]), and one [`ApsqFold`] pass runs
+//! Algorithm 1 over it in place — the PSUM stream of the PE array and
+//! the RAE beside it, with the epilogues on the kernel backend. Nothing
+//! leaves the integer domain between the input quantizer and the single
+//! dequantize-and-bias epilogue. Decode attention folds its `Q·Kᵀ` and
+//! `P·V` GEMMs the same way, calibrating each head's schedule during the
+//! pass. The PSUM buffer and the fold are per-thread scratch, so a warm
+//! serving thread folds without allocating.
 //!
 //! # Bit-identity contract
 //!
@@ -31,14 +35,77 @@ use crate::kv_cache::{Int8AttentionKvCache, Int8DecoderKvState};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
 use crate::norm::LayerNorm;
-use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
-use apsq_quant::{Bitwidth, LsqQuantizer};
-use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int32Tensor, Int8Tensor, Tensor};
+use apsq_core::{ApsqConfig, ApsqFold, BufferTraffic, FoldScales, GroupSize, ScaleSchedule};
+use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
+use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int8Tensor, Tensor};
+use std::cell::RefCell;
 
 /// Snaps a positive step to the nearest power of two (identity on values
 /// that already are).
 fn pow2_snap(step: f32) -> f32 {
     step.log2().round().exp2()
+}
+
+/// Per-thread scratch of the integer fold paths: the step-major PSUM
+/// buffer the engine writes, the fold, the output tile, and the attention
+/// kernel's per-head key block and requantized probabilities. Every
+/// buffer is fully overwritten before it is read, so reuse across calls
+/// cannot leak state between them; a warm serving thread folds without
+/// allocating.
+#[derive(Default)]
+struct FoldScratch {
+    gemm: GemmFold,
+    /// One head's key rows `[t, dh]`.
+    keys: Vec<i8>,
+    /// Requantized probabilities `[heads, t]`.
+    probs: Vec<i8>,
+}
+
+/// The PSUM buffer, fold and output tile of one integer GEMM.
+#[derive(Default)]
+struct GemmFold {
+    psums: Vec<i32>,
+    out: Vec<i32>,
+    fold: ApsqFold,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<FoldScratch> = RefCell::new(FoldScratch::default());
+}
+
+impl GemmFold {
+    /// Runs one K-deep integer GEMM with a `numel`-word output through
+    /// the APSQ fold: `psums(k_tile, buf)` writes the `⌈k/k_tile⌉`
+    /// step-major PSUM tiles, one fold pass reduces them into `self.out`.
+    /// `None` is the exact i32 path: one K-deep step, no fold, no
+    /// PSUM-buffer traffic.
+    fn run(
+        &mut self,
+        eng: &ExecEngine,
+        numel: usize,
+        k: usize,
+        fold: Option<(usize, GroupSize, FoldScales<'_>)>,
+        psums: impl FnOnce(usize, &mut [i32]),
+    ) -> BufferTraffic {
+        let k_tile = fold.as_ref().map_or(k, |f| f.0);
+        self.psums.resize(k.div_ceil(k_tile) * numel, 0);
+        psums(k_tile, &mut self.psums);
+        self.out.resize(numel, 0);
+        match fold {
+            Some((_, gs, scales)) if numel > 0 => self.fold.run(
+                eng.backend(),
+                &mut self.psums,
+                numel,
+                gs,
+                scales,
+                &mut self.out,
+            ),
+            _ => {
+                self.out.copy_from_slice(&self.psums[..numel]);
+                BufferTraffic::new()
+            }
+        }
+    }
 }
 
 /// A borrowed flat view over int8 KV storage: `[t, d]` row-major i8 codes
@@ -188,7 +255,7 @@ impl Int8Linear {
         let mut codes = vec![0i8; d_out * d_in];
         for i in 0..d_in {
             for o in 0..d_out {
-                codes[o * d_in + i] = (w.at(&[i, o]) / w_scale).round().clamp(-128.0, 127.0) as i8;
+                codes[o * d_in + i] = Int8Tensor::quantize_one(w.at(&[i, o]), w_scale);
             }
         }
         let base = x_scale * w_scale;
@@ -258,34 +325,36 @@ impl Int8Linear {
     /// whose accumulator never leaves registers in this model).
     pub fn forward_traced(&self, x: &Tensor, eng: &ExecEngine) -> (Tensor, BufferTraffic) {
         let q = Int8Tensor::quantize(x, self.x_scale);
-        let (acc, traffic) = match &self.psum {
-            Int8PsumPath::Exact => (eng.int8_matmul_bt(&q, &self.codes), BufferTraffic::new()),
+        let fold = match &self.psum {
+            Int8PsumPath::Exact => None,
             Int8PsumPath::Apsq {
                 config,
                 k_tile,
                 schedule,
-            } => {
-                let mut stream = StreamingApsq::new(schedule.clone(), *config);
-                eng.int8_bt_for_each_k_tile(&q, &self.codes, *k_tile, |_, tile| {
-                    stream.push_ref(tile)
-                });
-                let run = stream.finish();
-                (run.output, run.traffic)
-            }
+            } => Some((*k_tile, config.group_size, FoldScales::Frozen(schedule))),
         };
         let base = self.x_scale * self.w_scale;
         let (m, d_out) = (x.dims()[0], self.d_out());
         let mut y = vec![0.0f32; m * d_out];
-        for (yrow, arow) in y
-            .chunks_exact_mut(d_out)
-            .zip(acc.data().chunks_exact(d_out))
-        {
-            for ((yv, &av), &bf) in yrow.iter_mut().zip(arow).zip(&self.bias_f) {
-                // Multiply-then-add in the same order as the fake-quant
-                // epilogue (`out * base` then `+ b`), preserving bit-identity.
-                *yv = av as f32 * base + bf;
+        let traffic = SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let k = self.d_in();
+            let traffic = s.gemm.run(eng, m * d_out, k, fold, |k_tile, buf| {
+                eng.int8_bt_psums_into(q.data(), self.codes.data(), k, k_tile, buf)
+            });
+            for (yrow, arow) in y
+                .chunks_exact_mut(d_out)
+                .zip(s.gemm.out.chunks_exact(d_out))
+            {
+                for ((yv, &av), &bf) in yrow.iter_mut().zip(arow).zip(&self.bias_f) {
+                    // Multiply-then-add in the same order as the fake-quant
+                    // epilogue (`out * base` then `+ b`), preserving
+                    // bit-identity.
+                    *yv = av as f32 * base + bf;
+                }
             }
-        }
+            traffic
+        });
         (Tensor::from_vec(y, [m, d_out]), traffic)
     }
 
@@ -387,168 +456,117 @@ impl Int8MultiHeadAttention {
 
     /// The frozen power-of-two Q scale `α_q`.
     pub fn q_scale(&self) -> f32 {
-        (self.q_exp as f32).exp2()
+        pow2_f32(self.q_exp)
     }
 
     /// Quantizes one `[d]` query row at the frozen Q scale.
     fn quantize_q_row(&self, row: &[f32]) -> Vec<i8> {
         let scale = self.q_scale();
         row.iter()
-            .map(|&x| (x / scale).round().clamp(-128.0, 127.0) as i8)
+            .map(|&x| Int8Tensor::quantize_one(x, scale))
             .collect()
     }
 
-    /// Gathers one head-major `[H, t, dh]` code block from a `[t, d]`
-    /// row-major cache code slice.
-    fn gather_heads(codes: &[i8], t: usize, d: usize, heads: usize) -> Int8Tensor {
-        let dh = d / heads;
-        let mut out = vec![0i8; t * d];
-        for h in 0..heads {
-            for i in 0..t {
-                out[h * t * dh + i * dh..h * t * dh + (i + 1) * dh]
-                    .copy_from_slice(&codes[i * d + h * dh..i * d + h * dh + dh]);
-            }
-        }
-        Int8Tensor::from_vec(out, [heads, t, dh])
-    }
-
-    /// Runs Algorithm 1 over a collected per-head PSUM tile stream with a
-    /// schedule calibrated from that stream (deterministic: integer tiles
-    /// are thread-invariant and calibration is a pure function of them).
-    fn fold_apsq(
-        tiles: Vec<Int32Tensor>,
-        config: &ApsqConfig,
-        traffic: &mut BufferTraffic,
-    ) -> Int32Tensor {
-        let sched =
-            ScaleSchedule::calibrate(std::slice::from_ref(&tiles), config.bits, config.group_size);
-        let run = apsq_core::grouped_apsq(&tiles, &sched, config);
-        *traffic += run.traffic;
-        run.output
-    }
-
     /// Attends one quantized query row over a cache prefix of length
-    /// `t = cache.len()`, returning the `[d]` context row and the PSUM
-    /// buffer traffic the two APSQ folds incurred.
+    /// `t = cache.len()`, writing the `[d]` context row into `ctx` and
+    /// returning the PSUM buffer traffic the two APSQ folds incurred.
     fn attend_row(
         &self,
         qc: &[i8],
         cache: &Int8AttentionKvCache,
         eng: &ExecEngine,
-    ) -> (Vec<f32>, BufferTraffic) {
-        self.attend_row_view(qc, &Int8KvView::from_cache(cache), eng)
+        ctx: &mut [f32],
+    ) -> BufferTraffic {
+        self.attend_row_view(qc, &Int8KvView::from_cache(cache), eng, ctx)
     }
 
     /// [`Self::attend_row`] over a flat KV view — the single attention
     /// kernel both the contiguous and the paged decode paths funnel into.
+    ///
+    /// Per head, both activation GEMMs write their step-major PSUM tiles
+    /// straight from the cache rows into reused scratch and fold them in
+    /// one calibrating [`ApsqFold`] pass (a per-head schedule committed
+    /// step by step, exactly [`ScaleSchedule::calibrate`] + grouped APSQ
+    /// over that head's tile stream).
     fn attend_row_view(
         &self,
         qc: &[i8],
         kv: &Int8KvView<'_>,
         eng: &ExecEngine,
-    ) -> (Vec<f32>, BufferTraffic) {
+        ctx: &mut [f32],
+    ) -> BufferTraffic {
         let d = kv.width;
         let heads = self.heads;
         let dh = d / heads;
         let t = kv.len;
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
-        let q_scale = self.q_scale();
-        let mut traffic = BufferTraffic::new();
-
-        // Q·Kᵀ in the integer domain: [H, 1, dh] × [H, t, dh]ᵀ → [H, 1, t],
-        // dequantized with one scale per (head, cached token) — the key
-        // row's covering scale — and 1/√dh folded into the Q-side scale.
-        // No mask needed: the cache prefix *is* the causal window.
-        let qb = Int8Tensor::from_vec(qc.to_vec(), [heads, 1, dh]);
-        let kb = Self::gather_heads(kv.k_codes, t, d, heads);
-        let k_exps = kv.k_exps;
-        let row_scales: Vec<f32> = (0..heads * t)
-            .map(|i| (k_exps[(i % t) * heads + i / t] as f32).exp2())
-            .collect();
-        let scores = match &self.seq_apsq {
-            None => eng.int8_rowscaled_batched_matmul_bt(&qb, &kb, q_scale * inv_sqrt, &row_scales),
-            Some((config, k_tile)) => {
-                let mut tiles: Vec<Int32Tensor> = Vec::new();
-                eng.int8_batched_bt_for_each_k_tile(&qb, &kb, *k_tile, |_, tile| {
-                    tiles.push(tile.clone())
-                });
-                let mut out = vec![0.0f32; heads * t];
-                for h in 0..heads {
-                    let stream: Vec<Int32Tensor> = tiles
-                        .iter()
-                        .map(|tl| {
-                            Int32Tensor::from_vec(tl.data()[h * t..(h + 1) * t].to_vec(), [1, t])
-                        })
-                        .collect();
-                    let folded = Self::fold_apsq(stream, config, &mut traffic);
-                    for (j, &v) in folded.data().iter().enumerate() {
-                        out[h * t + j] = v as f32 * (q_scale * inv_sqrt) * row_scales[h * t + j];
-                    }
-                }
-                Tensor::from_vec(out, [heads, 1, t])
-            }
+        let score_scale = self.q_scale() * inv_sqrt;
+        let fold = |k_tile: usize, config: &ApsqConfig| {
+            (
+                k_tile,
+                config.group_size,
+                FoldScales::Calibrate(config.bits),
+            )
         };
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let mut traffic = BufferTraffic::new();
 
-        // Softmax in f32, per head.
-        let mut probs: Vec<Tensor> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let row = scores.data()[h * t..(h + 1) * t].to_vec();
-            probs.push(softmax_rows(&Tensor::from_vec(row, [1, t])));
-        }
-
-        // P·V: fold each value row's scale into the probabilities, then
-        // requantize so the GEMM runs on a single scale pair and APSQ can
-        // fold over the context (K) dimension.
-        let v_exps = kv.v_exps;
-        let mut r_exps = vec![0i32; heads];
-        let mut rc = vec![0i8; heads * t];
-        for h in 0..heads {
-            let mut r = vec![0.0f32; t];
-            let mut max_abs = 0.0f32;
-            for (j, rj) in r.iter_mut().enumerate() {
-                *rj = probs[h].data()[j] * (v_exps[j * heads + h] as f32).exp2();
-                max_abs = max_abs.max(rj.abs());
-            }
-            let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
-            let scale = (e as f32).exp2();
-            r_exps[h] = e;
-            for (j, rj) in r.iter().enumerate() {
-                rc[h * t + j] = (rj / scale).round().clamp(-128.0, 127.0) as i8;
-            }
-        }
-        let rb = Int8Tensor::from_vec(rc, [heads, 1, t]);
-        // Per head this is already the [t, dh] = K×N operand the context
-        // GEMM consumes.
-        let vb = Self::gather_heads(kv.v_codes, t, d, heads);
-        let ctx_i32 = match &self.seq_apsq {
-            None => eng.int8_batched_matmul(&rb, &vb),
-            Some((config, k_tile)) => {
-                let mut tiles: Vec<Int32Tensor> = Vec::new();
-                eng.int8_batched_for_each_k_tile(&rb, &vb, *k_tile, |_, tile| {
-                    tiles.push(tile.clone())
-                });
-                let mut out = Int32Tensor::zeros([heads, 1, dh]);
-                for h in 0..heads {
-                    let stream: Vec<Int32Tensor> = tiles
-                        .iter()
-                        .map(|tl| {
-                            Int32Tensor::from_vec(tl.data()[h * dh..(h + 1) * dh].to_vec(), [1, dh])
-                        })
-                        .collect();
-                    let folded = Self::fold_apsq(stream, config, &mut traffic);
-                    out.data_mut()[h * dh..(h + 1) * dh].copy_from_slice(folded.data());
+            // Q·Kᵀ in the integer domain, per head: [1, dh] × [t, dh]ᵀ →
+            // [1, t], dequantized with one scale per cached token — the
+            // key row's covering scale — and 1/√dh folded into the
+            // Q-side scale. No mask needed: the cache prefix *is* the
+            // causal window.
+            let mut scores = vec![0.0f32; heads * t];
+            for h in 0..heads {
+                s.keys.clear();
+                for i in 0..t {
+                    s.keys
+                        .extend_from_slice(&kv.k_codes[i * d + h * dh..i * d + (h + 1) * dh]);
                 }
-                out
+                let apsq = self.seq_apsq.as_ref().map(|(c, k)| fold(*k, c));
+                traffic += s.gemm.run(eng, t, dh, apsq, |k_tile, buf| {
+                    eng.int8_bt_psums_into(&qc[h * dh..(h + 1) * dh], &s.keys, dh, k_tile, buf)
+                });
+                for (j, (o, &v)) in scores[h * t..(h + 1) * t]
+                    .iter_mut()
+                    .zip(&s.gemm.out)
+                    .enumerate()
+                {
+                    *o = v as f32 * score_scale * pow2_f32(kv.k_exps[j * heads + h] as i32);
+                }
             }
-        };
-        let mut ctx = vec![0.0f32; d];
-        for h in 0..heads {
-            let scale = (r_exps[h] as f32).exp2();
-            for j in 0..dh {
-                ctx[h * dh + j] = ctx_i32.data()[h * dh + j] as f32 * scale;
+
+            // Softmax in f32, per head (row).
+            let probs = softmax_rows(&Tensor::from_vec(scores, [heads, t]));
+
+            // P·V: fold each value row's scale into the probabilities,
+            // then requantize so the GEMM runs on a single scale pair and
+            // APSQ can fold over the context (K) dimension.
+            s.probs.resize(heads * t, 0);
+            for h in 0..heads {
+                let p = &probs.data()[h * t..(h + 1) * t];
+                let r = |j: usize| p[j] * pow2_f32(kv.v_exps[j * heads + h] as i32);
+                let max_abs = (0..t).fold(0.0f32, |m, j| m.max(r(j).abs()));
+                let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
+                let scale = pow2_f32(e);
+                for (j, c) in s.probs[h * t..(h + 1) * t].iter_mut().enumerate() {
+                    *c = Int8Tensor::quantize_one(r(j), scale);
+                }
+                // The context GEMM reads this head's value columns in
+                // place: its K axis is the context length, the cache's
+                // row axis.
+                let apsq = self.seq_apsq.as_ref().map(|(c, k)| fold(*k, c));
+                traffic += s.gemm.run(eng, dh, t, apsq, |k_tile, buf| {
+                    let (p, v) = (&s.probs[h * t..(h + 1) * t], &kv.v_codes[h * dh..]);
+                    eng.int8_psums_into(p, v, d, dh, t, k_tile, buf)
+                });
+                for (o, &v) in ctx[h * dh..(h + 1) * dh].iter_mut().zip(&s.gemm.out) {
+                    *o = v as f32 * scale;
+                }
             }
-        }
-        (ctx, traffic)
+            traffic
+        })
     }
 
     /// Full-sequence inference over `[T, d]` — the integer twin of
@@ -566,8 +584,7 @@ impl Int8MultiHeadAttention {
             for i in 0..t {
                 cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
                 let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                let (row, _) = self.attend_row(&qc, &cache, eng);
-                ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+                self.attend_row(&qc, &cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
             }
         } else {
             for i in 0..t {
@@ -575,8 +592,7 @@ impl Int8MultiHeadAttention {
             }
             for i in 0..t {
                 let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                let (row, _) = self.attend_row(&qc, &cache, eng);
-                ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+                self.attend_row(&qc, &cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
             }
         }
         self.wo.forward_inference_with(&ctx, eng)
@@ -620,9 +636,7 @@ impl Int8MultiHeadAttention {
         let mut ctx = Tensor::zeros([b, d]);
         for (i, cache) in caches.iter().enumerate() {
             let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            let (row, row_traffic) = self.attend_row(&qc, cache, eng);
-            traffic += row_traffic;
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+            traffic += self.attend_row(&qc, cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
         }
         (self.wo.forward_inference_with(&ctx, eng), traffic)
     }
@@ -709,9 +723,7 @@ impl Int8MultiHeadAttention {
                 v_exps: &ve,
             };
             let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            let (row, row_traffic) = self.attend_row_view(&qc, &kv, eng);
-            traffic += row_traffic;
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+            traffic += self.attend_row_view(&qc, &kv, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
         }
         (self.wo.forward_inference_with(&ctx, eng), traffic)
     }

@@ -29,10 +29,10 @@ pub(crate) fn quantize_int8_kv_row(row: &[f32], heads: usize, codes: &mut [i8], 
             m.max(x.abs())
         });
         let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
-        let scale = (e as f32).exp2();
+        let scale = apsq_quant::pow2_f32(e);
         exps[h] = e as i8;
         for (c, &x) in codes[h * dh..(h + 1) * dh].iter_mut().zip(slice) {
-            *c = (x / scale).round().clamp(-128.0, 127.0) as i8;
+            *c = apsq_tensor::Int8Tensor::quantize_one(x, scale);
         }
     }
 }
@@ -330,7 +330,7 @@ impl Int8AttentionKvCache {
         let mut out = vec![0.0f32; self.len * self.width];
         for t in 0..self.len {
             for h in 0..self.heads {
-                let scale = (exps[t * self.heads + h] as f32).exp2();
+                let scale = apsq_quant::pow2_f32(exps[t * self.heads + h] as i32);
                 for j in 0..dh {
                     let idx = t * self.width + h * dh + j;
                     out[idx] = codes[idx] as f32 * scale;

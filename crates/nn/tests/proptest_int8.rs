@@ -6,7 +6,7 @@
 //! The contract: snap a calibrated `QuantLinear`'s learned scales to
 //! powers of two (`snap_pow2` — the hardware-realizable
 //! reparameterization), PTQ-convert it, and the i8×i8→i32 GEMM with the
-//! `StreamingApsq` fold must reproduce the f32 fake-quant inference
+//! one-pass `ApsqFold` must reproduce the f32 fake-quant inference
 //! **bit for bit**: products and partial sums are exactly representable
 //! in f32, both paths derive the frozen PSUM schedule from the same
 //! float expression, and the integer and float APSQ recursions agree

@@ -67,96 +67,6 @@ pub fn shift_dequantize(code: i32, sh: u32) -> i32 {
     saturating_shift_left(code, sh)
 }
 
-// ------------------------------------------------------------------ slices
-//
-// Branch-free slice forms of the shift quantizer. The APSQ fold epilogue
-// runs these over whole PSUM tiles inside the GEMM K loop, so the
-// per-element sign branch of `rounding_shift_right` is replaced by
-// arithmetic-shift sign masks the autovectorizer can lower to SIMD
-// blends. Each is bit-identical to mapping its scalar twin over the slice
-// (pinned by unit tests).
-
-/// Round-half-away-from-zero shift without a sign branch: extract the sign
-/// mask, round the magnitude, restore the sign. Callers keep `x` within
-/// the i32 range, so `|x| + add` cannot overflow.
-#[inline]
-fn branchless_rounding_shift(x: i64, sh: u32, add: i64) -> i64 {
-    debug_assert!(sh > 0);
-    let s = x >> 63; // 0 for x ≥ 0, −1 for x < 0
-    let mag = (x ^ s) - s; // |x|
-    let t = (mag + add) >> sh;
-    (t ^ s) - s
-}
-
-/// Maps [`shift_quantize`] over a slice of exact i32 PSUMs into `out`
-/// (cleared first), branch-free.
-pub fn shift_quantize_slice(xs: &[i32], sh: u32, range: QRange, out: &mut Vec<i32>) {
-    out.clear();
-    out.reserve(xs.len());
-    let (qn, qp) = (range.qn as i64, range.qp as i64);
-    if sh == 0 {
-        out.extend(xs.iter().map(|&x| (x as i64).clamp(qn, qp) as i32));
-        return;
-    }
-    let add = 1i64 << (sh - 1);
-    out.extend(
-        xs.iter()
-            .map(|&x| branchless_rounding_shift(x as i64, sh, add).clamp(qn, qp) as i32),
-    );
-}
-
-/// Clamps each 64-bit running PSUM into the i32 domain and
-/// [`shift_quantize`]s it — the fused Algorithm-1 group-fold epilogue
-/// (`Qᵢ(clamp(Σ …))`), bit-identical to `shift_quantize(clamp(x), …)` per
-/// element.
-pub fn shift_quantize_i64_slice(xs: &[i64], sh: u32, range: QRange, out: &mut Vec<i32>) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    out.clear();
-    out.reserve(xs.len());
-    let (qn, qp) = (range.qn as i64, range.qp as i64);
-    if sh == 0 {
-        out.extend(xs.iter().map(|&x| x.clamp(LO, HI).clamp(qn, qp) as i32));
-        return;
-    }
-    let add = 1i64 << (sh - 1);
-    out.extend(
-        xs.iter()
-            .map(|&x| branchless_rounding_shift(x.clamp(LO, HI), sh, add).clamp(qn, qp) as i32),
-    );
-}
-
-/// Adds the dequantized codes (`code · 2^sh`, saturating at the i32 limits
-/// like [`shift_dequantize`]) into a 64-bit group accumulator — the
-/// de-accumulation of Algorithm 1 lines 4–6, branch-free.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn shift_dequantize_accumulate(codes: &[i32], sh: u32, acc: &mut [i64]) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    assert_eq!(codes.len(), acc.len(), "code/accumulator length mismatch");
-    let sh = sh.min(62);
-    for (a, &c) in acc.iter_mut().zip(codes.iter()) {
-        *a += ((c as i64) << sh).clamp(LO, HI);
-    }
-}
-
-/// Maps [`shift_dequantize`] over a slice into `out` (cleared first).
-pub fn shift_dequantize_slice(codes: &[i32], sh: u32, out: &mut Vec<i32>) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    out.clear();
-    out.reserve(codes.len());
-    let sh = sh.min(62);
-    out.extend(
-        codes
-            .iter()
-            .map(|&c| ((c as i64) << sh).clamp(LO, HI) as i32),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,74 +112,5 @@ mod tests {
             let x = shift_dequantize(code, 4); // exact: code * 16
             assert_eq!(shift_quantize(x, 4, r), code);
         }
-    }
-
-    /// Awkward i32 values for the slice-vs-scalar equivalence sweeps:
-    /// zeros, small values of both signs, rounding-boundary magnitudes,
-    /// and the extremes.
-    fn awkward_i32() -> Vec<i32> {
-        let mut v = vec![0, 1, -1, 7, -8, 100, -100, 4095, -4096, 123456, -123457];
-        v.extend([i32::MAX, i32::MIN, i32::MAX - 1, i32::MIN + 1]);
-        v.extend((0..40).map(|i| (i * 2654435761u32 as i64 % 400_003) as i32 - 200_000));
-        v
-    }
-
-    #[test]
-    fn quantize_slice_matches_scalar_map() {
-        let xs = awkward_i32();
-        let mut out = Vec::new();
-        for bits in [Bitwidth::INT8, Bitwidth::new(4), Bitwidth::new(16)] {
-            let r = bits.signed_range();
-            for sh in 0u32..16 {
-                shift_quantize_slice(&xs, sh, r, &mut out);
-                let want: Vec<i32> = xs.iter().map(|&x| shift_quantize(x, sh, r)).collect();
-                assert_eq!(out, want, "sh={sh}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantize_i64_slice_matches_clamp_then_scalar() {
-        let mut xs: Vec<i64> = awkward_i32().iter().map(|&x| x as i64).collect();
-        xs.extend([i64::MAX / 4, i64::MIN / 4, 1i64 << 40, -(1i64 << 40)]);
-        let r = Bitwidth::INT8.signed_range();
-        let mut out = Vec::new();
-        for sh in 0u32..16 {
-            shift_quantize_i64_slice(&xs, sh, r, &mut out);
-            let want: Vec<i32> = xs
-                .iter()
-                .map(|&x| {
-                    let clamped = x.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                    shift_quantize(clamped, sh, r)
-                })
-                .collect();
-            assert_eq!(out, want, "sh={sh}");
-        }
-    }
-
-    #[test]
-    fn dequantize_slice_and_accumulate_match_scalar() {
-        let codes: Vec<i32> = awkward_i32();
-        let mut out = Vec::new();
-        for sh in [0u32, 1, 4, 15, 30] {
-            shift_dequantize_slice(&codes, sh, &mut out);
-            let want: Vec<i32> = codes.iter().map(|&c| shift_dequantize(c, sh)).collect();
-            assert_eq!(out, want, "sh={sh}");
-
-            let mut acc: Vec<i64> = (0..codes.len()).map(|i| i as i64 * 1000 - 7).collect();
-            let mut acc_want = acc.clone();
-            shift_dequantize_accumulate(&codes, sh, &mut acc);
-            for (a, &c) in acc_want.iter_mut().zip(codes.iter()) {
-                *a += shift_dequantize(c, sh) as i64;
-            }
-            assert_eq!(acc, acc_want, "sh={sh}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dequantize_accumulate_rejects_length_mismatch() {
-        let mut acc = vec![0i64; 3];
-        shift_dequantize_accumulate(&[1, 2], 0, &mut acc);
     }
 }

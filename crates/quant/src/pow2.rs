@@ -111,36 +111,6 @@ impl Pow2Scale {
     pub fn requantize(&self, x: i32) -> i32 {
         self.dequantize(self.quantize(x))
     }
-
-    /// Slice form of [`Pow2Scale::quantize`] into a reusable buffer
-    /// (cleared first) — branch-free ([`crate::shift_quantize_slice`]),
-    /// bit-identical to mapping `quantize` over the slice.
-    pub fn quantize_slice_into(&self, xs: &[i32], out: &mut Vec<i32>) {
-        crate::fixed::shift_quantize_slice(xs, self.exp, self.range, out);
-    }
-
-    /// Fused clamp-to-i32 + [`Pow2Scale::quantize`] over a 64-bit running
-    /// group accumulator — the Algorithm-1 fold epilogue
-    /// `Qᵢ(clamp(Σ αₗ·APₗ + Tpᵢ))` as one branch-free pass.
-    pub fn quantize_clamped_i64_into(&self, acc: &[i64], out: &mut Vec<i32>) {
-        crate::fixed::shift_quantize_i64_slice(acc, self.exp, self.range, out);
-    }
-
-    /// Adds the dequantized codes into a 64-bit group accumulator
-    /// (`acc[j] += dequantize(codes[j])`), branch-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn dequantize_accumulate(&self, codes: &[i32], acc: &mut [i64]) {
-        crate::fixed::shift_dequantize_accumulate(codes, self.exp, acc);
-    }
-
-    /// Slice form of [`Pow2Scale::dequantize`] into a reusable buffer
-    /// (cleared first).
-    pub fn dequantize_slice_into(&self, codes: &[i32], out: &mut Vec<i32>) {
-        crate::fixed::shift_dequantize_slice(codes, self.exp, out);
-    }
 }
 
 /// The tightest signed power-of-two exponent `e` such that values of
@@ -168,6 +138,19 @@ pub fn covering_pow2_exponent(max_abs: f32, qp: f32) -> i32 {
     }
     let e = (max_abs / qp).log2().ceil() as i32;
     e.clamp(-126, 126)
+}
+
+/// `2^e` as an `f32`, exactly, for the normal exponents `e ∈ [−126,
+/// 127]` — the value `(e as f32).exp2()` returns, built from the exponent
+/// bits instead of a libm call. The integer datapath's per-row KV and
+/// attention scales are such powers.
+///
+/// # Panics
+///
+/// Panics if `e` is outside `[−126, 127]`.
+pub fn pow2_f32(e: i32) -> f32 {
+    assert!((-126..=127).contains(&e), "2^{e} is not a normal f32");
+    f32::from_bits(((e + 127) as u32) << 23)
 }
 
 /// A QAT fake-quantizer whose step is constrained to a power of two.
@@ -377,6 +360,13 @@ mod tests {
         }
         // All-zero rows get the neutral exponent.
         assert_eq!(covering_pow2_exponent(0.0, 127.0), 0);
+    }
+
+    #[test]
+    fn pow2_f32_is_exp2_of_integers() {
+        for e in -126i32..=127 {
+            assert_eq!(pow2_f32(e).to_bits(), (e as f32).exp2().to_bits(), "e={e}");
+        }
     }
 
     #[test]

@@ -533,319 +533,126 @@ impl ExecEngine {
         });
     }
 
-    /// Batched exact integer matmul: `[B, M, K]` i8 × `[B, K, N]` i8 →
-    /// `[B, M, N]` i32.
+    /// Every `k_tile`-deep exact i32 PSUM tile of `a · bᵀ` (`a` row-major
+    /// `[M, K]` i8, `b` row-major `[N, K]` i8 — the weight-stationary
+    /// layout) written **step-major** into a caller-owned buffer in one
+    /// sweep over K: tile `s` (input channels `[s·k_tile, (s+1)·k_tile)`,
+    /// the last one ragged) lands in `out[s·M·N..(s+1)·M·N]` as `[M, N]`.
+    /// This is the PE array's PSUM stream, produced without one kernel
+    /// re-entry or one allocation per tile; `apsq_core::ApsqFold` folds
+    /// it. Steps are partitioned over the worker pool, so the buffer is
+    /// bit-identical for every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if operands are not rank-3 or batch/inner dims disagree.
-    pub fn int8_batched_matmul(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        assert_eq!(
-            a.shape().rank(),
-            3,
-            "int8_batched_matmul: `a` must be rank-3"
+    /// Panics if `k == 0`, `k_tile == 0`, either operand's length is not
+    /// a multiple of `k`, or `out.len() != ⌈k/k_tile⌉·M·N`.
+    pub fn int8_bt_psums_into(&self, a: &[i8], b: &[i8], k: usize, k_tile: usize, out: &mut [i32]) {
+        assert!(k > 0 && k_tile > 0, "k and k_tile must be positive");
+        assert!(
+            a.len().is_multiple_of(k) && b.len().is_multiple_of(k),
+            "operand lengths {} and {} are not multiples of K = {k}",
+            a.len(),
+            b.len()
         );
+        let (m, n) = (a.len() / k, b.len() / k);
+        let np = k.div_ceil(k_tile);
+        let plane = m * n;
         assert_eq!(
-            b.shape().rank(),
-            3,
-            "int8_batched_matmul: `b` must be rank-3"
+            out.len(),
+            np * plane,
+            "int8_bt_psums_into: out must hold {np} steps of [{m}, {n}]"
         );
-        let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        let (bb, kb, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-        assert_eq!(
-            ba, bb,
-            "int8_batched_matmul: batch sizes {ba} vs {bb} disagree"
-        );
-        assert_eq!(
-            k, kb,
-            "int8_batched_matmul: inner dims {k} vs {kb} disagree"
-        );
-        let mut out = Int32Tensor::zeros([ba, m, n]);
-        for batch in 0..ba {
-            self.gemm_i8_rows(
-                &a.data()[batch * m * k..(batch + 1) * m * k],
-                &b.data()[batch * k * n..(batch + 1) * k * n],
-                &mut out.data_mut()[batch * m * n..(batch + 1) * m * n],
-                m,
-                k,
-                n,
-                0,
-                k,
-            );
-        }
-        out
+        self.partition_steps(out, plane, k, k_tile, &|chunk, k0, k1| {
+            kernels::gemm_bt_i8_psums(self.backend, a, k, b, k, chunk, m, n, k0, k1, k_tile)
+        });
     }
 
-    /// Batched exact integer transposed-B matmul: `[B, M, K]` i8 × `bᵀ`
-    /// per batch (`b` stored `[B, N, K]` i8) → `[B, M, N]` i32 — the
-    /// decode-attention `Q·Kᵀ` primitive, where the batch axis is the head
-    /// and the cached key rows already sit in the `[N, K]` row-major
-    /// layout the KV cache appends them in.
+    /// [`ExecEngine::int8_bt_psums_into`] for `b` stored `[K, N]` with row
+    /// stride `ldb`: row `l` of `b` is `b[l·ldb..l·ldb + n]`, so `b` can be
+    /// a column block of a wider matrix — one head's slice of a KV
+    /// cache's value rows, whose reduction axis is the context. `a` is
+    /// row-major `[M, K]`. Step-major output, bit-identical to the
+    /// transposed-layout buffer of the same product.
     ///
     /// # Panics
     ///
-    /// Panics if operands are not rank-3 or batch/K dims disagree.
-    pub fn int8_batched_matmul_bt(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        let (ba, m, k, n) = dims_batched_bt_i8(a, b);
-        let mut out = Int32Tensor::zeros([ba, m, n]);
-        for batch in 0..ba {
-            let ad = &a.data()[batch * m * k..(batch + 1) * m * k];
-            let bd = &b.data()[batch * n * k..(batch + 1) * n * k];
-            let od = &mut out.data_mut()[batch * m * n..(batch + 1) * m * n];
-            self.partition_rows(od, n, m, m * n * k, &|r0, r1, chunk| {
-                kernels::gemm_bt_i8(
-                    self.backend,
-                    &ad[r0 * k..],
-                    k,
-                    bd,
-                    k,
-                    chunk,
-                    n,
-                    r1 - r0,
-                    n,
-                    0,
-                    k,
-                );
-            });
-        }
-        out
-    }
-
-    /// [`ExecEngine::int8_batched_matmul_bt`] dequantized on the way out
-    /// with one scale per (batch, output column): `out[b, i, j] =
-    /// Σ_k a[b,i,k]·b[b,j,k] · a_scale · row_scales[b·N + j]` — the
-    /// per-row-scaled decode `Q·Kᵀ`, where every cached key row carries
-    /// its own (per-token, per-head) power-of-two scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches or if `row_scales.len() != B·N`.
-    pub fn int8_rowscaled_batched_matmul_bt(
+    /// Panics if `k == 0`, `k_tile == 0`, `a.len()` is not a multiple of
+    /// `k`, `ldb < n`, `b` is too short for `k` rows, or `out.len() !=
+    /// ⌈k/k_tile⌉·M·N`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn int8_psums_into(
         &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        a_scale: f32,
-        row_scales: &[f32],
-    ) -> Tensor {
-        let (ba, m, _, n) = dims_batched_bt_i8(a, b);
-        assert_eq!(
-            row_scales.len(),
-            ba * n,
-            "row_scales must provide one scale per (batch, row): {} != {}",
-            row_scales.len(),
-            ba * n
+        a: &[i8],
+        b: &[i8],
+        ldb: usize,
+        n: usize,
+        k: usize,
+        k_tile: usize,
+        out: &mut [i32],
+    ) {
+        assert!(k > 0 && k_tile > 0, "k and k_tile must be positive");
+        assert!(
+            a.len().is_multiple_of(k),
+            "operand length {} is not a multiple of K = {k}",
+            a.len()
         );
-        let acc = self.int8_batched_matmul_bt(a, b);
-        let mut out = vec![0.0f32; ba * m * n];
-        for batch in 0..ba {
-            for i in 0..m {
-                let base = batch * m * n + i * n;
-                for j in 0..n {
-                    out[base + j] =
-                        acc.data()[base + j] as f32 * a_scale * row_scales[batch * n + j];
-                }
+        assert!(ldb >= n, "row stride {ldb} is shorter than a row of {n}");
+        assert!(
+            n == 0 || b.len() >= (k - 1) * ldb + n,
+            "b holds {} codes, short of {k} rows of stride {ldb}",
+            b.len()
+        );
+        let m = a.len() / k;
+        let plane = m * n;
+        assert_eq!(
+            out.len(),
+            k.div_ceil(k_tile) * plane,
+            "int8_psums_into: out must hold {} steps of [{m}, {n}]",
+            k.div_ceil(k_tile)
+        );
+        self.partition_steps(out, plane, k, k_tile, &|chunk, k0, k1| {
+            kernels::gemm_i8_psums(self.backend, a, k, b, ldb, chunk, m, n, k0, k1, k_tile)
+        });
+    }
+
+    /// Splits a step-major PSUM buffer (`plane` words per step) into
+    /// contiguous runs of whole steps and runs `body(chunk, k0, k1)` on
+    /// each — the K range `[k0, k1)` those steps cover — in parallel when
+    /// the product (`plane · k` MACs) justifies spawning.
+    fn partition_steps(
+        &self,
+        out: &mut [i32],
+        plane: usize,
+        k: usize,
+        k_tile: usize,
+        body: &(impl Fn(&mut [i32], usize, usize) + Sync),
+    ) {
+        if plane == 0 {
+            return;
+        }
+        let np = k.div_ceil(k_tile);
+        let chunks = self.threads.min(np);
+        if chunks <= 1 || plane * k < self.spawn_threshold {
+            body(out, 0, k);
+            return;
+        }
+        let steps = np.div_ceil(chunks);
+        std::thread::scope(|s| {
+            for (c, chunk) in out.chunks_mut(steps * plane).enumerate() {
+                let k0 = c * steps * k_tile;
+                let k1 = usize::min(k0 + steps * k_tile, k);
+                s.spawn(move || body(chunk, k0, k1));
             }
-        }
-        Tensor::from_vec(out, [ba, m, n])
+        });
     }
 
-    /// Streams the exact i32 PSUM tiles of the batched transposed-B matmul
-    /// along K to `f`: one reusable `[B, M, N]` buffer, tiles in fixed
-    /// accumulation order — the batched twin of
-    /// [`ExecEngine::int8_bt_for_each_k_tile`], so a per-batch APSQ fold
-    /// can sit inside the decode score GEMM's K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3, batch/K dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_batched_bt_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (ba, m, k, n) = dims_batched_bt_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([ba, m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            for batch in 0..ba {
-                let ad = &a.data()[batch * m * k..(batch + 1) * m * k];
-                let bd = &b.data()[batch * n * k..(batch + 1) * n * k];
-                let od = &mut tile.data_mut()[batch * m * n..(batch + 1) * m * n];
-                self.partition_rows(od, n, m, m * n * (k1 - k0), &|r0, r1, chunk| {
-                    kernels::gemm_bt_i8(
-                        self.backend,
-                        &ad[r0 * k..],
-                        k,
-                        bd,
-                        k,
-                        chunk,
-                        n,
-                        r1 - r0,
-                        n,
-                        k0,
-                        k1,
-                    );
-                });
-            }
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of the batched `[B, M, K] ×
-    /// [B, K, N]` matmul along K to `f`: one reusable `[B, M, N]` buffer,
-    /// fixed accumulation order — the batched twin of
-    /// [`ExecEngine::int8_for_each_k_tile`]. In decode attention this is
-    /// the `P·V` GEMM whose K axis is the **context length**, so grouped
-    /// APSQ folds over the sequence dimension exactly where the KV-cache
-    /// PSUM traffic lives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3, batch/inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_batched_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        assert_eq!(
-            a.shape().rank(),
-            3,
-            "int8_batched_for_each_k_tile: `a` must be rank-3"
-        );
-        assert_eq!(
-            b.shape().rank(),
-            3,
-            "int8_batched_for_each_k_tile: `b` must be rank-3"
-        );
-        let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        let (bb, kb, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-        assert_eq!(ba, bb, "batch sizes {ba} vs {bb} disagree");
-        assert_eq!(k, kb, "inner dimensions {k} vs {kb} disagree");
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([ba, m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            for batch in 0..ba {
-                self.partition_rows(
-                    &mut tile.data_mut()[batch * m * n..(batch + 1) * m * n],
-                    n,
-                    m,
-                    m * n * (k1 - k0),
-                    &|r0, r1, chunk| {
-                        kernels::gemm_i8(
-                            self.backend,
-                            &a.data()[batch * m * k + r0 * k..],
-                            k,
-                            &b.data()[batch * k * n..(batch + 1) * k * n],
-                            n,
-                            chunk,
-                            n,
-                            r1 - r0,
-                            n,
-                            k0,
-                            k1,
-                        );
-                    },
-                );
-            }
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of `a · bᵀ` (`b` stored `[N, K]`)
-    /// along K to `f` — [`ExecEngine::int8_for_each_k_tile`] for the
-    /// transposed weight layout, so a requantizing APSQ fold can sit
-    /// directly inside the decode GEMM's K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, K dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_bt_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (m, k, n) = dims_bt_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([m, n]);
-        let (ad, bd) = (a.data(), b.data());
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            self.partition_rows(
-                tile.data_mut(),
-                n,
-                m,
-                m * n * (k1 - k0),
-                &|r0, r1, chunk| {
-                    kernels::gemm_bt_i8(
-                        self.backend,
-                        &ad[r0 * k..],
-                        k,
-                        bd,
-                        k,
-                        chunk,
-                        n,
-                        r1 - r0,
-                        n,
-                        k0,
-                        k1,
-                    );
-                },
-            );
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of `a · b` along K to `f`, one
-    /// reusable buffer, no `Vec<Int32Tensor>` — the integration point for
-    /// folding APSQ quantization directly into the K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (m, k, n) = dims_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            self.gemm_i8_rows(a.data(), b.data(), tile.data_mut(), m, k, n, k0, k1);
-            f(t, &tile);
-        }
-    }
-
-    /// Collects the exact i32 PSUM tile stream into a `Vec`. Prefer
-    /// [`ExecEngine::int8_for_each_k_tile`] unless every tile is needed at
-    /// once (e.g. scale calibration).
+    /// Collects the exact i32 PSUM tile stream of `a · b` (`b` stored
+    /// `[K, N]`) into one tensor per `k_tile`-deep step — for callers
+    /// that need every tile as its own tensor (golden-model tests,
+    /// simulators). The serving paths fold the step-major buffer of
+    /// [`ExecEngine::int8_psums_into`] / [`ExecEngine::int8_bt_psums_into`]
+    /// directly.
     ///
     /// # Panics
     ///
@@ -857,9 +664,17 @@ impl ExecEngine {
         b: &Int8Tensor,
         k_tile: usize,
     ) -> Vec<Int32Tensor> {
-        let mut tiles = Vec::new();
-        self.int8_for_each_k_tile(a, b, k_tile, |_, tile| tiles.push(tile.clone()));
-        tiles
+        assert!(k_tile > 0, "k_tile must be positive");
+        let (m, k, n) = dims_i8(a, b);
+        if k == 0 {
+            return Vec::new();
+        }
+        let np = k.div_ceil(k_tile);
+        let mut psums = vec![0i32; np * m * n];
+        self.int8_psums_into(a.data(), b.data(), n, n, k, k_tile, &mut psums);
+        (0..np)
+            .map(|s| Int32Tensor::from_vec(psums[s * m * n..(s + 1) * m * n].to_vec(), [m, n]))
+            .collect()
     }
 
     /// Low-level ranged integer GEMM over sub-blocks of larger matrices:
@@ -1087,30 +902,6 @@ fn dims_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize) {
     (m, k, n)
 }
 
-fn dims_batched_bt_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(
-        a.shape().rank(),
-        3,
-        "int8_batched_matmul_bt: `a` must be rank-3"
-    );
-    assert_eq!(
-        b.shape().rank(),
-        3,
-        "int8_batched_matmul_bt: `b` must be rank-3"
-    );
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, n, kb) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(
-        ba, bb,
-        "int8_batched_matmul_bt: batch sizes {ba} vs {bb} disagree"
-    );
-    assert_eq!(
-        k, kb,
-        "int8_batched_matmul_bt: K dimensions {k} vs {kb} disagree"
-    );
-    (ba, m, k, n)
-}
-
 fn dims_bt_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize) {
     assert_eq!(a.shape().rank(), 2, "int8_matmul_bt: `a` must be rank-2");
     assert_eq!(b.shape().rank(), 2, "int8_matmul_bt: `b` must be rank-2");
@@ -1264,121 +1055,23 @@ mod tests {
     }
 
     #[test]
-    fn int8_bt_k_tiles_match_kn_layout_tiles() {
-        let (a, b) = i8_pair(6, 33, 5);
-        let bt = transpose_i8(&b);
-        let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, 8);
-        let mut steps = 0;
-        eng.int8_bt_for_each_k_tile(&a, &bt, 8, |step, tile| {
-            assert_eq!(tile, &legacy[step], "step {step}");
-            steps += 1;
-        });
-        assert_eq!(steps, 33usize.div_ceil(8));
-    }
-
-    /// Builds a `[B, M, K] / [B, N, K]` batched pair whose per-batch
-    /// contents differ.
-    fn batched_i8_pair(bsz: usize, m: usize, k: usize, n: usize) -> (Int8Tensor, Int8Tensor) {
-        let a = Int8Tensor::from_vec(
-            (0..bsz * m * k)
-                .map(|x| ((x * 37 + 11) % 255) as i8)
-                .collect(),
-            [bsz, m, k],
-        );
-        let b = Int8Tensor::from_vec(
-            (0..bsz * n * k)
-                .map(|x| ((x * 73 + 5) % 251) as i8)
-                .collect(),
-            [bsz, n, k],
-        );
-        (a, b)
-    }
-
-    #[test]
-    fn int8_batched_bt_matches_per_batch_bt() {
-        let (bsz, m, k, n) = (3usize, 2usize, 33usize, 5usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
-        for threads in [1usize, 3] {
-            let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let out = eng.int8_batched_matmul_bt(&a, &b);
-            assert_eq!(out.dims(), &[bsz, m, n]);
-            for batch in 0..bsz {
-                let ab = Int8Tensor::from_vec(
-                    a.data()[batch * m * k..(batch + 1) * m * k].to_vec(),
-                    [m, k],
-                );
-                let bb = Int8Tensor::from_vec(
-                    b.data()[batch * n * k..(batch + 1) * n * k].to_vec(),
-                    [n, k],
-                );
-                let want = eng.int8_matmul_bt(&ab, &bb);
-                assert_eq!(
-                    &out.data()[batch * m * n..(batch + 1) * m * n],
-                    want.data(),
-                    "batch {batch} threads {threads}"
-                );
+    fn int8_bt_psums_match_kn_layout_tiles_across_thread_counts() {
+        for (m, k, n, k_tile) in [(6, 33, 5, 8), (8, 128, 9, 16), (3, 7, 4, 7), (2, 5, 3, 9)] {
+            let (a, b) = i8_pair(m, k, n);
+            let bt = transpose_i8(&b);
+            let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, k_tile);
+            for threads in [1, 3] {
+                let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
+                let mut psums = vec![-1i32; legacy.len() * m * n];
+                eng.int8_bt_psums_into(a.data(), bt.data(), k, k_tile, &mut psums);
+                for (step, tile) in legacy.iter().enumerate() {
+                    assert_eq!(
+                        &psums[step * m * n..(step + 1) * m * n],
+                        tile.data(),
+                        "{m}x{k}x{n} k_tile={k_tile} step {step} threads={threads}"
+                    );
+                }
             }
-        }
-    }
-
-    #[test]
-    fn int8_rowscaled_batched_bt_applies_per_row_scales() {
-        let (bsz, m, k, n) = (2usize, 1usize, 16usize, 4usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
-        let scales: Vec<f32> = (0..bsz * n).map(|i| ((i as i32) - 3) as f32).collect();
-        let eng = ExecEngine::serial();
-        let acc = eng.int8_batched_matmul_bt(&a, &b);
-        let out = eng.int8_rowscaled_batched_matmul_bt(&a, &b, 0.5, &scales);
-        assert_eq!(out.dims(), &[bsz, m, n]);
-        for batch in 0..bsz {
-            for j in 0..n {
-                let want = acc.data()[batch * n + j] as f32 * 0.5 * scales[batch * n + j];
-                assert_eq!(out.data()[batch * n + j], want, "batch {batch} col {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn int8_batched_bt_k_tiles_sum_to_full_gemm() {
-        let (bsz, m, k, n) = (2usize, 2usize, 23usize, 3usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
-        let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let want = eng.int8_batched_matmul_bt(&a, &b);
-        let mut acc = Int32Tensor::zeros([bsz, m, n]);
-        let mut steps = 0;
-        eng.int8_batched_bt_for_each_k_tile(&a, &b, 7, |step, tile| {
-            assert_eq!(step, steps);
-            acc = acc.checked_add(tile).unwrap();
-            steps += 1;
-        });
-        assert_eq!(steps, 23usize.div_ceil(7));
-        assert_eq!(acc, want);
-    }
-
-    #[test]
-    fn int8_batched_kn_k_tiles_sum_to_batched_matmul() {
-        let (bsz, m, k, n) = (3usize, 1usize, 29usize, 6usize);
-        let a = Int8Tensor::from_vec(
-            (0..bsz * m * k)
-                .map(|x| ((x * 31 + 7) % 253) as i8)
-                .collect(),
-            [bsz, m, k],
-        );
-        let b = Int8Tensor::from_vec(
-            (0..bsz * k * n)
-                .map(|x| ((x * 41 + 13) % 249) as i8)
-                .collect(),
-            [bsz, k, n],
-        );
-        for threads in [1usize, 4] {
-            let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let want = eng.int8_batched_matmul(&a, &b);
-            let mut acc = Int32Tensor::zeros([bsz, m, n]);
-            eng.int8_batched_for_each_k_tile(&a, &b, 8, |_, tile| {
-                acc = acc.checked_add(tile).unwrap();
-            });
-            assert_eq!(acc, want, "threads={threads}");
         }
     }
 
@@ -1392,41 +1085,6 @@ mod tests {
         for (x, y) in acc.data().iter().zip(once.data()) {
             assert_eq!(*x, 2 * y);
         }
-    }
-
-    #[test]
-    fn int8_batched_matches_per_batch() {
-        let (a0, b0) = i8_pair(3, 16, 5);
-        let (mut a1, mut b1) = i8_pair(3, 16, 5);
-        a1.data_mut()
-            .iter_mut()
-            .for_each(|v| *v = v.wrapping_add(3));
-        b1.data_mut()
-            .iter_mut()
-            .for_each(|v| *v = v.wrapping_sub(7));
-        let mut ad = a0.data().to_vec();
-        ad.extend_from_slice(a1.data());
-        let mut bd = b0.data().to_vec();
-        bd.extend_from_slice(b1.data());
-        let a = Int8Tensor::from_vec(ad, [2, 3, 16]);
-        let b = Int8Tensor::from_vec(bd, [2, 16, 5]);
-        let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let out = eng.int8_batched_matmul(&a, &b);
-        assert_eq!(out.dims(), &[2, 3, 5]);
-        let want0 = eng.int8_matmul(&a0, &b0);
-        let want1 = eng.int8_matmul(&a1, &b1);
-        assert_eq!(&out.data()[..15], want0.data());
-        assert_eq!(&out.data()[15..], want1.data());
-    }
-
-    #[test]
-    fn int8_k_tiles_match_legacy_psum_tiles() {
-        let (a, b) = i8_pair(6, 33, 5);
-        let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, 8);
-        eng.int8_for_each_k_tile(&a, &b, 8, |step, tile| {
-            assert_eq!(tile, &legacy[step], "step {step}");
-        });
     }
 
     #[test]

@@ -189,10 +189,29 @@ impl Int8Tensor {
         Int8Tensor::from_vec(
             x.data()
                 .iter()
-                .map(|&v| (v / scale).round().clamp(-128.0, 127.0) as i8)
+                .map(|&v| Int8Tensor::quantize_one(v, scale))
                 .collect(),
             x.shape().clone(),
         )
+    }
+
+    /// One i8 code: `clamp(round(x / scale), −128, 127)` with
+    /// round-half-away-from-zero (`f32::round`), NaN mapping to 0 — the
+    /// activation, weight and KV quantizer of the integer datapath, bit
+    /// for bit the rounding of the fake-quant training path.
+    ///
+    /// `f32::round` is a libm call on baseline x86-64, so this rounds by
+    /// hand, branch-free: clamping `y = x / scale` to `[−128.5, 127.5]`
+    /// first cannot change the clamped result (rounding is monotone), and
+    /// on that range the truncation `t` and the fraction `y − t` are
+    /// exact (Sterbenz), so half-away-from-zero rounding is two compares.
+    /// NaN stays NaN through the clamp and truncates to 0.
+    #[inline]
+    pub fn quantize_one(x: f32, scale: f32) -> i8 {
+        let y = (x / scale).clamp(-128.5, 127.5);
+        let t = y as i32;
+        let f = y - t as f32;
+        (t + (f >= 0.5) as i32 - (f <= -0.5) as i32).clamp(-128, 127) as i8
     }
 
     /// Dequantizes the codes back to floats: `x̃ = q · scale`.
@@ -365,6 +384,46 @@ mod tests {
         assert_eq!(Int8Tensor::roundtrip_rel_error(&exact, 0.5), 0.0);
         assert_eq!(Int32Tensor::roundtrip_rel_error(&exact, 0.5), 0.0);
         assert_eq!(Int32Tensor::quantize(&exact, 0.5).data(), &[2, -5, 7]);
+    }
+
+    #[test]
+    fn quantize_one_matches_f32_round() {
+        let mut xs: Vec<f32> = (-3000..3000).map(|i| i as f32 * 0.125).collect();
+        xs.extend([
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999997,
+            -0.49999997,
+            -0.0,
+            127.5,
+            -128.5,
+            4_194_303.5,
+            4_194_304.0,
+            -4_194_305.0,
+            1e30,
+            -1e30,
+        ]);
+        xs.extend([
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ]);
+        xs.extend((0..2000).map(|i| f32::from_bits((i as u32).wrapping_mul(2654435761))));
+        for scale in [1.0f32, 0.5, 0.0625, 8.0, 2f32.powi(-20)] {
+            for &x in &xs {
+                let want = (x / scale).round().clamp(-128.0, 127.0) as i8;
+                assert_eq!(
+                    Int8Tensor::quantize_one(x, scale),
+                    want,
+                    "x={x} scale={scale}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -363,6 +363,182 @@ pub(crate) fn gemm_bt_i8(
     }
 }
 
+/// Every `k_tile`-deep partial sum of `a · bᵀ` in **one sweep over K**:
+/// for step `s` covering `[k0 + s·k_tile, min(k0 + (s+1)·k_tile, k1))`,
+/// **writes** (not accumulates) `out[s·m·n + i·n + j] = Σ_l a[i, l] ·
+/// b[j, l]` — a step-major `[steps, m, n]` buffer. Each output pair walks
+/// its K range once, so the per-tile re-entry, zeroing and row
+/// partitioning of a tile-at-a-time stream never happen.
+pub(crate) fn gemm_bt_i8_psums(
+    bk: KernelBackend,
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+    k_tile: usize,
+) {
+    match bk {
+        KernelBackend::Scalar => {
+            scalar::gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 => unsafe {
+            x86::sse2_gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe {
+            x86::avx2_gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
+/// [`gemm_bt_i8_psums`] for `b` stored `[K, N]` (row stride `ldb`): step
+/// `s` **writes** `out[s·m·n + i·n + j] = Σ_l a[i, l] · b[l, j]`. Vectorized
+/// along N — the layout of a KV cache's value rows, whose context axis is
+/// the reduction. The portable body serves scalar and SSE2 (the x86-64
+/// baseline autovectorizes it), and is recompiled for AVX2.
+pub(crate) fn gemm_i8_psums(
+    bk: KernelBackend,
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+    k_tile: usize,
+) {
+    match bk {
+        KernelBackend::Scalar | KernelBackend::Sse2 => {
+            scalar::gemm_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe {
+            x86::avx2_gemm_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
+// ------------------------------------------------------ APSQ fold epilogues
+//
+// The integer slice maps an APSQ fold step is made of (paper Algorithm
+// 1), over a step-major PSUM buffer: a step's quantizer input is its own
+// tile plus the dequantized codes of the stored steps it reads back
+// (`reads`: those steps' code tiles, contiguous, one exponent each). The
+// dequantize-accumulate and the clamp-quantize run fused in registers,
+// so the 64-bit group accumulator never touches memory. The maps are
+// elementwise, so every backend computes the scalar bits lane by lane;
+// `apsq-core`'s fold calls them with an engine's backend.
+
+/// Checks the shared shape contract of the step epilogues.
+fn check_reads(reads: &[i32], exps: &[u32], numel: usize) {
+    assert_eq!(
+        reads.len(),
+        exps.len() * numel,
+        "reads must hold one {numel}-word code tile per exponent"
+    );
+    assert!(
+        exps.iter().all(|&e| e <= 30),
+        "power-of-two exponents must lie in 0..=30"
+    );
+}
+
+/// Fold epilogue, one step in place: `slot[j] = clamp(round(clamp_i32(x)
+/// / 2^exp), qn, qp)` with round-half-away-from-zero, where `x =
+/// slot[j] + Σ_l clamp_i32(reads[l·n + j] · 2^exps[l])` is exact in 64
+/// bits (`n = slot.len()`). The slot enters holding the step's PSUM tile
+/// `Tp_i` and leaves holding its stored codes — `Qᵢ(clamp(Σ αₗ·APₗ +
+/// Tpᵢ))`, dequantize-accumulate and clamp-quantize fused.
+///
+/// # Panics
+///
+/// Panics if `reads.len() != exps.len() · slot.len()`, any exponent
+/// exceeds 30, or `qn > qp`.
+pub fn fold_requantize(
+    bk: KernelBackend,
+    reads: &[i32],
+    exps: &[u32],
+    slot: &mut [i32],
+    exp: u32,
+    qn: i32,
+    qp: i32,
+) {
+    check_reads(reads, exps, slot.len());
+    assert!(exp <= 30, "power-of-two exponent {exp} out of range 0..=30");
+    assert!(qn <= qp, "empty code range [{qn}, {qp}]");
+    match bk {
+        KernelBackend::Scalar => scalar::fold_requantize(reads, exps, slot, exp, qn, qp),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 => unsafe { x86::sse2_fold_requantize(reads, exps, slot, exp, qn, qp) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `KernelBackend::Avx2` value reaching a kernel was
+        // checked by `is_supported` (detection or `with_backend`).
+        KernelBackend::Avx2 => unsafe { x86::avx2_fold_requantize(reads, exps, slot, exp, qn, qp) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
+/// Fold epilogue for calibration: the largest `|x|` over the step's
+/// quantizer inputs (`x` as in [`fold_requantize`], with `tile` in place
+/// of the slot), saturated to `i32::MAX`; 0 for an empty tile.
+///
+/// # Panics
+///
+/// Panics if `reads.len() != exps.len() · tile.len()` or any exponent
+/// exceeds 30.
+pub fn fold_max_abs(bk: KernelBackend, reads: &[i32], exps: &[u32], tile: &[i32]) -> i32 {
+    check_reads(reads, exps, tile.len());
+    match bk {
+        KernelBackend::Scalar => scalar::fold_max_abs(reads, exps, tile),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 => unsafe { x86::sse2_fold_max_abs(reads, exps, tile) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `fold_requantize`.
+        KernelBackend::Avx2 => unsafe { x86::avx2_fold_max_abs(reads, exps, tile) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
+/// Fold epilogue: `out[j] = clamp_i32(codes[j] · 2^exp)` — dequantizes
+/// the final codes into the output tile `To`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `exp > 30`.
+pub fn fold_dequantize(bk: KernelBackend, codes: &[i32], exp: u32, out: &mut [i32]) {
+    assert_eq!(codes.len(), out.len(), "code/output length mismatch");
+    assert!(exp <= 30, "power-of-two exponent {exp} out of range 0..=30");
+    match bk {
+        KernelBackend::Scalar => scalar::fold_dequantize(codes, exp, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 => unsafe { x86::sse2_fold_dequantize(codes, exp, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `fold_requantize`.
+        KernelBackend::Avx2 => unsafe { x86::avx2_fold_dequantize(codes, exp, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
 // ------------------------------------------------------- shared helpers
 
 /// Reduces the [`LANES`] f32 partial sums in ascending index order —
@@ -708,6 +884,156 @@ mod tests {
                     );
                     gemm_bt_i8(bk, &ai, k, &bti, k, &mut got, n, m, n, k0, k1);
                     assert_eq!(want, got, "gemm_bt_i8 {bk} {m}x{k}x{n} [{k0},{k1})");
+                }
+            }
+        }
+    }
+
+    /// Awkward i32 values for the fold-epilogue sweeps: zeros, small
+    /// values of both signs, rounding-boundary magnitudes, the extremes.
+    fn awkward_i32() -> Vec<i32> {
+        let mut v = vec![0, 1, -1, 7, -8, 100, -100, 4095, -4096, 123456, -123457];
+        v.extend([i32::MAX, i32::MIN, i32::MAX - 1, i32::MIN + 1, -128, 127]);
+        v.extend((0..40).map(|i| (i * 2654435761u32 as i64 % 400_003) as i32 - 200_000));
+        v
+    }
+
+    /// Round-half-away-from-zero `x / 2^sh` in plain branchy i64 — the
+    /// textbook definition the branch-free kernels must reproduce.
+    fn round_shift(x: i64, sh: u32) -> i64 {
+        if sh == 0 {
+            return x;
+        }
+        let add = 1i64 << (sh - 1);
+        if x >= 0 {
+            (x + add) >> sh
+        } else {
+            -((-x + add) >> sh)
+        }
+    }
+
+    #[test]
+    fn fold_epilogues_match_definition_on_every_backend() {
+        let (lo, hi) = (i32::MIN as i64, i32::MAX as i64);
+        let tile = awkward_i32();
+        let numel = tile.len();
+        // Up to three read steps: codes in the INT8 range, the extremes,
+        // and a mix — enough to saturate both the shifter and the i32
+        // clamp at high exponents.
+        let read_tiles: [Vec<i32>; 3] = [
+            (0..numel).map(|j| (j as i32 % 256) - 128).collect(),
+            (0..numel)
+                .map(|j| if j % 2 == 0 { i32::MAX } else { i32::MIN })
+                .collect(),
+            tile.iter().rev().copied().collect(),
+        ];
+        for bk in KernelBackend::supported() {
+            for nreads in 0..=3 {
+                for read_exps in [[0u32, 0, 0], [4, 9, 1], [30, 23, 30]] {
+                    let exps = &read_exps[..nreads];
+                    let reads: Vec<i32> = read_tiles[..nreads].concat();
+                    let input = |j: usize| {
+                        let mut x = tile[j] as i64;
+                        for (l, &e) in exps.iter().enumerate() {
+                            x += ((reads[l * numel + j] as i64) << e).clamp(lo, hi);
+                        }
+                        x
+                    };
+                    let want_max = (0..numel).map(|j| input(j).unsigned_abs()).max().unwrap();
+                    assert_eq!(
+                        fold_max_abs(bk, &reads, exps, &tile) as u64,
+                        want_max.min(hi as u64),
+                        "{bk} max_abs reads={nreads} {exps:?}"
+                    );
+                    for (qn, qp) in [(-128, 127), (-8, 7), (i32::MIN, i32::MAX)] {
+                        for exp in [0u32, 1, 4, 15, 23, 29, 30] {
+                            let mut slot = tile.clone();
+                            fold_requantize(bk, &reads, exps, &mut slot, exp, qn, qp);
+                            let want: Vec<i32> = (0..numel)
+                                .map(|j| {
+                                    let r = round_shift(input(j).clamp(lo, hi), exp);
+                                    r.clamp(qn as i64, qp as i64) as i32
+                                })
+                                .collect();
+                            assert_eq!(slot, want, "{bk} reads={nreads} {exps:?} exp={exp}");
+                        }
+                    }
+                }
+            }
+            for exp in [0u32, 1, 4, 15, 23, 29, 30] {
+                let mut out = vec![0i32; numel];
+                fold_dequantize(bk, &tile, exp, &mut out);
+                let want: Vec<i32> = tile
+                    .iter()
+                    .map(|&c| ((c as i64) << exp).clamp(lo, hi) as i32)
+                    .collect();
+                assert_eq!(out, want, "{bk} dequantize exp={exp}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one 2-word code tile per exponent")]
+    fn fold_epilogue_rejects_short_reads() {
+        let mut slot = vec![0i32; 2];
+        fold_requantize(
+            KernelBackend::Scalar,
+            &[1, 2, 3],
+            &[0, 0],
+            &mut slot,
+            0,
+            -128,
+            127,
+        );
+    }
+
+    #[test]
+    fn psums_kernel_matches_per_step_gemm_on_every_backend() {
+        for bk in KernelBackend::supported() {
+            for (m, k, n, k_tile) in [
+                (1usize, 1usize, 1usize, 1usize),
+                (3, 37, 9, 16),
+                (5, 64, 4, 16),
+                (2, 50, 7, 64),
+            ] {
+                let a: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 11) % 255) as i8).collect();
+                let b: Vec<i8> = (0..n * k).map(|x| ((x * 29 + 3) % 253) as i8).collect();
+                let np = k.div_ceil(k_tile);
+                let mut psums = vec![i32::MIN; np * m * n];
+                gemm_bt_i8_psums(bk, &a, k, &b, k, &mut psums, m, n, 0, k, k_tile);
+                // The same operand stored [K, N] (with a padded row stride)
+                // through the KN kernel.
+                let ldb = n + 3;
+                let mut b_kn = vec![0i8; k * ldb];
+                for j in 0..n {
+                    for l in 0..k {
+                        b_kn[l * ldb + j] = b[j * k + l];
+                    }
+                }
+                let mut kn = vec![i32::MIN; np * m * n];
+                gemm_i8_psums(bk, &a, k, &b_kn, ldb, &mut kn, m, n, 0, k, k_tile);
+                assert_eq!(kn, psums, "{bk} KN layout");
+                for s in 0..np {
+                    let (k0, k1) = (s * k_tile, usize::min((s + 1) * k_tile, k));
+                    let mut want = vec![0i32; m * n];
+                    gemm_bt_i8(
+                        KernelBackend::Scalar,
+                        &a,
+                        k,
+                        &b,
+                        k,
+                        &mut want,
+                        n,
+                        m,
+                        n,
+                        k0,
+                        k1,
+                    );
+                    assert_eq!(
+                        &psums[s * m * n..(s + 1) * m * n],
+                        &want[..],
+                        "{bk} step {s}"
+                    );
                 }
             }
         }

@@ -58,7 +58,7 @@ pub use conv::{conv2d_i8_gemm, conv2d_i8_reference, im2col, im2col_i8};
 pub use exec::ExecEngine;
 pub use init::{kaiming_normal, rand_uniform, randn, xavier_uniform};
 pub use int_tensor::{int8_matmul, int8_matmul_psum_tiles, Int32Tensor, Int8Tensor};
-pub use kernels::{KernelBackend, BACKEND_ENV};
+pub use kernels::{fold_dequantize, fold_max_abs, fold_requantize, KernelBackend, BACKEND_ENV};
 pub use matmul::{
     batched_matmul, matmul, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into,
     matmul_psum_tiles, matmul_tiled_fold,

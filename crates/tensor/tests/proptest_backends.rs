@@ -2,14 +2,17 @@
 //!
 //! Every kernel backend (`Scalar`, `Sse2`, `Avx2` where the CPU supports
 //! them) must produce **bit-identical** results for the same inputs: the
-//! i8 path is exact integer arithmetic in any association, and the f32
-//! path pins one per-element lane-reduction order that all backends
-//! implement. These properties force each backend through
+//! i8 path is exact integer arithmetic in any association, the APSQ fold
+//! epilogues are elementwise integer maps, and the f32 path pins one
+//! per-element lane-reduction order that all backends implement. These properties force each backend through
 //! [`ExecEngine::with_backend`] and compare against the scalar reference
 //! across random shapes (including ragged MR/NR/LANES tails), K ranges,
 //! leading dimensions, and thread counts.
 
-use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor, KernelBackend, Tensor};
+use apsq_tensor::{
+    fold_dequantize, fold_max_abs, fold_requantize, ExecEngine, Int32Tensor, Int8Tensor,
+    KernelBackend, Tensor,
+};
 use proptest::prelude::*;
 
 /// Deterministic seed-mixed i8 fill, so proptest-drawn seeds really vary
@@ -162,21 +165,71 @@ proptest! {
         }
     }
 
-    /// Batched attention-shaped products (the serve decode hot path) are
-    /// bit-identical across backends too.
+    /// The one-sweep step-major PSUM buffer (every serving GEMM's APSQ
+    /// input) is bit-identical across backends and thread counts, at
+    /// ragged shapes and k-tiles that do not divide K.
     #[test]
-    fn batched_i8_bit_identical_across_backends(
-        (h, m, k, n) in (1usize..4, 1usize..6, 1usize..20, 1usize..10),
+    fn psum_buffers_bit_identical_across_backends(
+        (m, k, n) in ragged_dims(),
+        k_tile in 1usize..40,
+        threads in 1usize..4,
         seed in any::<u16>(),
     ) {
-        let a = Int8Tensor::from_vec(
-            seeded_i8(h * m, k, seed as u32).data().to_vec(), [h, m, k]);
-        let b = Int8Tensor::from_vec(
-            seeded_i8(h * n, k, seed as u32 ^ 0xabcd).data().to_vec(), [h, n, k]);
-        let want = scalar_engine(1).int8_batched_matmul_bt(&a, &b);
+        let a = seeded_i8(m, k, seed as u32);
+        let b = seeded_i8(n, k, seed as u32 ^ 0xabcd);
+        let np = k.div_ceil(k_tile);
+        let mut want = vec![0i32; np * m * n];
+        scalar_engine(1).int8_bt_psums_into(a.data(), b.data(), k, k_tile, &mut want);
         for bk in KernelBackend::supported() {
-            let got = ExecEngine::serial().with_backend(bk).int8_batched_matmul_bt(&a, &b);
-            prop_assert_eq!(&got, &want, "batched bt on {}", bk);
+            let mut got = vec![-7i32; np * m * n];
+            ExecEngine::with_threads(threads)
+                .with_spawn_threshold(0)
+                .with_backend(bk)
+                .int8_bt_psums_into(a.data(), b.data(), k, k_tile, &mut got);
+            prop_assert_eq!(&got, &want, "psums on {}", bk);
+        }
+    }
+
+    /// The APSQ fold epilogues — fused dequantize-accumulate +
+    /// clamp-quantize, the calibration max, the final dequantize — are
+    /// bit-identical across backends, including operands that saturate
+    /// the shifter and the i32 clamp (the exact-recompute path).
+    #[test]
+    fn fold_epilogues_bit_identical_across_backends(
+        numel in 1usize..70,
+        nreads in 0usize..5,
+        exps in proptest::collection::vec(0u32..=30, 5),
+        exp in 0u32..=30,
+        bits in prop_oneof![Just(4u32), Just(8), Just(16), Just(32)],
+        big in any::<bool>(),
+        seed in any::<u32>(),
+    ) {
+        let word = |i: usize| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            if big { h as i32 } else { (h % 256) as i32 - 128 }
+        };
+        let tile: Vec<i32> = (0..numel).map(|i| word(i) / 4).collect();
+        let reads: Vec<i32> = (0..nreads * numel).map(|i| word(i + 997)).collect();
+        let exps = &exps[..nreads];
+        let (qn, qp) = if bits == 32 {
+            (i32::MIN, i32::MAX)
+        } else {
+            (-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1)
+        };
+        let s = KernelBackend::Scalar;
+        let mut want = tile.clone();
+        fold_requantize(s, &reads, exps, &mut want, exp, qn, qp);
+        let want_max = fold_max_abs(s, &reads, exps, &tile);
+        let mut want_deq = vec![0i32; numel];
+        fold_dequantize(s, &tile, exp, &mut want_deq);
+        for bk in KernelBackend::supported() {
+            let mut got = tile.clone();
+            fold_requantize(bk, &reads, exps, &mut got, exp, qn, qp);
+            prop_assert_eq!(&got, &want, "requantize on {}", bk);
+            prop_assert_eq!(fold_max_abs(bk, &reads, exps, &tile), want_max, "max_abs on {}", bk);
+            let mut deq = vec![0i32; numel];
+            fold_dequantize(bk, &tile, exp, &mut deq);
+            prop_assert_eq!(&deq, &want_deq, "dequantize on {}", bk);
         }
     }
 }

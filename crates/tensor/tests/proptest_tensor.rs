@@ -30,6 +30,18 @@ fn seeded_i8(m: usize, n: usize, seed: u32) -> Int8Tensor {
     )
 }
 
+/// `[K, N]` i8 codes re-laid out as `[N, K]` row-major.
+fn transpose(b: &Int8Tensor) -> Vec<i8> {
+    let (k, n) = (b.dims()[0], b.dims()[1]);
+    let mut bt = vec![0i8; n * k];
+    for l in 0..k {
+        for j in 0..n {
+            bt[j * k + l] = b.data()[l * n + j];
+        }
+    }
+    bt
+}
+
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let n = b.dims()[1];
@@ -160,11 +172,11 @@ proptest! {
         prop_assert_eq!(parallel, serial);
     }
 
-    /// The streaming K-tile API partitions the exact integer reduction:
-    /// folding the streamed tiles with checked adds reproduces the full
+    /// The one-sweep PSUM kernel partitions the exact integer reduction:
+    /// folding its step-major tiles with checked adds reproduces the full
     /// product for any tile size and thread count.
     #[test]
-    fn engine_int8_k_tile_stream_partitions_reduction(
+    fn engine_int8_psums_partition_reduction(
         (m, k, n) in small_dims(),
         k_tile in 1usize..16,
         threads in 1usize..5,
@@ -173,21 +185,21 @@ proptest! {
         let a = seeded_i8(m, k, seed as u32);
         let b = seeded_i8(k, n, seed as u32 ^ 0x51ed);
         let exact = int8_matmul(&a, &b);
-        let mut acc = Int32Tensor::zeros([m, n]);
-        let mut steps = 0usize;
+        let np = k.div_ceil(k_tile);
+        let mut psums = vec![0i32; np * m * n];
         ExecEngine::with_threads(threads)
             .with_spawn_threshold(0)
-            .int8_for_each_k_tile(&a, &b, k_tile, |step, tile| {
-            prop_assert_eq!(step, steps);
-            acc = acc.checked_add(tile).expect("no overflow at these depths");
-            steps += 1;
-        });
-        prop_assert_eq!(steps, k.div_ceil(k_tile));
+            .int8_bt_psums_into(a.data(), &transpose(&b), k, k_tile, &mut psums);
+        let mut acc = Int32Tensor::zeros([m, n]);
+        for tile in psums.chunks_exact(m * n) {
+            let tile = Int32Tensor::from_vec(tile.to_vec(), [m, n]);
+            acc = acc.checked_add(&tile).expect("no overflow at these depths");
+        }
         prop_assert_eq!(acc, exact);
     }
 
-    /// The transposed-weight int8 GEMM and its K-tile stream agree with
-    /// the `[K, N]`-layout path exactly, for every thread count.
+    /// The transposed-weight int8 GEMM and its step-major PSUM buffer agree
+    /// with the `[K, N]`-layout path exactly, for every thread count.
     #[test]
     fn int8_bt_matches_kn_layout(
         (m, k, n) in small_dims(),
@@ -209,12 +221,11 @@ proptest! {
         let want = int8_matmul(&a, &b);
         prop_assert_eq!(&eng.int8_matmul_bt(&a, &bt), &want);
         let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
-        let mut steps = 0usize;
-        eng.int8_bt_for_each_k_tile(&a, &bt, k_tile, |step, tile| {
-            prop_assert_eq!(tile, &tiles[step]);
-            steps += 1;
-        });
-        prop_assert_eq!(steps, k.div_ceil(k_tile));
+        let mut psums = vec![0i32; tiles.len() * m * n];
+        eng.int8_bt_psums_into(a.data(), bt.data(), k, k_tile, &mut psums);
+        for (step, tile) in tiles.iter().enumerate() {
+            prop_assert_eq!(&psums[step * m * n..(step + 1) * m * n], tile.data());
+        }
         // Accumulating entry point doubles the exact result.
         let mut acc = want.clone();
         eng.int8_matmul_acc(&a, &b, &mut acc);

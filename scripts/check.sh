@@ -36,13 +36,17 @@ cargo test -q --release -p apsq-nn --test proptest_int8
 echo "==> cargo test -q --release -p apsq-tensor  (engine kernels at release opt)"
 cargo test -q --release -p apsq-tensor
 
-echo "==> overflow-checked release: tensor kernels + int8 datapath wrap loudly"
+echo "==> overflow-checked release: tensor kernels + APSQ fold + int8 datapath wrap loudly"
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-core
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-models
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_int8
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib int8
 
-echo "==> scalar-forced backend: tensor + int8 suites on the portable fallback"
+echo "==> scalar-forced backend: tensor + fold + int8 suites on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib int8
 
@@ -69,6 +73,10 @@ cargo run -q --release -p apsq-bench --bin overload_bench -- --quick --out targe
 
 echo "==> bench smoke: quant_bench --quick (writes BENCH_quant.json)"
 cargo run -q --release -p apsq-bench --bin quant_bench -- --quick --out target/BENCH_quant.smoke.json
+
+echo "==> perfbench: self-tests + 3 s overload_int8 run (served bits, fingerprint, accounting)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+cargo run --release --manifest-path perfbench/Cargo.toml -- --workload overload_int8 --seed 1 --seconds 3 --trace 0
 
 echo "==> serve example smoke (with the overload burst demo)"
 cargo run -q --release --example serve_traffic -- --quick --overload
