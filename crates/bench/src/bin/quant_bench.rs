@@ -24,7 +24,7 @@ use apsq_dataflow::PsumFormat;
 use apsq_nn::{Int8DecoderLm, Int8Linear, PsumMode, QuantLinear};
 use apsq_quant::Bitwidth;
 use apsq_serve::{LoadGenerator, ModelSpec, Precision, Scenario, ServeConfig};
-use apsq_tensor::{ExecEngine, KernelBackend};
+use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor, KernelBackend, PackedI8};
 use std::time::Instant;
 
 const SEED: u64 = 0xA95C_0123;
@@ -84,6 +84,8 @@ fn main() {
 
     // Layer microbench: one llama-ish FFN GEMM, fake-quant vs integer.
     let (us_fakequant, us_int8) = layer_microbench(if quick { 20 } else { 100 });
+    // The same GEMM as bare kernels: one-shot vs the PSUM sweep.
+    let (gops_bt, gops_packed) = kernel_microbench(if quick { 50 } else { 500 });
 
     // ── KV byte budget: the same budget, both precisions ──
     // Capacity is the *real* admission path (SessionManager divides the
@@ -122,6 +124,13 @@ fn main() {
     layer_table.row(vec!["int8_apsq".into(), f(us_int8, 1)]);
     println!("FFN layer [8, 256] x [256, 512], gs=3, k_tile=16:");
     println!("{}", layer_table.render());
+    let mut kernel_table = Table::new(&["kernel", "GOP/s"]);
+    kernel_table.row(vec!["int8_matmul_bt (one-shot)".into(), f(gops_bt, 2)]);
+    kernel_table.row(vec![
+        "int8_packed_psums_into (k_tile=16)".into(),
+        f(gops_packed, 2),
+    ]);
+    println!("{}", kernel_table.render());
     println!(
         "decode throughput: {:.1} tok/s (f32) -> {:.1} tok/s (int8+APSQ) = {speedup:.2}x",
         r_f32.tokens_per_s, r_int8.tokens_per_s
@@ -200,6 +209,8 @@ fn main() {
         .num("layer_us_fake_quant", us_fakequant)
         .num("layer_us_int8_apsq", us_int8)
         .num("layer_int8_speedup", us_fakequant / us_int8)
+        .num("kernel_gops_int8_matmul_bt", gops_bt)
+        .num("kernel_gops_int8_packed_psums", gops_packed)
         .int("psum_words_per_token", words.total() as i64)
         .num("psum_bytes_per_token_int32_baseline", bytes_int32)
         .num("psum_bytes_per_token_int8_apsq", bytes_int8)
@@ -263,4 +274,38 @@ fn layer_microbench(reps: usize) -> (f64, f64) {
     let fq = time(&|| ql.forward_inference_with(&x, &eng).data()[0]);
     let i8t = time(&|| il.forward_inference_with(&x, &eng).data()[0]);
     (fq, i8t)
+}
+
+/// Times the FFN layer's `[8, 256] × [256, 512]` integer GEMM as bare
+/// engine kernels: the one-shot `int8_matmul_bt` and the packed PSUM
+/// sweep at k_tile = 16 (the step-major buffer an APSQ fold reads).
+/// Returns GOP/s (two ops per MAC) for each.
+fn kernel_microbench(reps: usize) -> (f64, f64) {
+    let (m, k, n) = (8, 256, 512);
+    let code = |x: usize, mul: usize, modulus: usize| ((x * mul + 11) % modulus) as i8;
+    let a = Int8Tensor::from_vec((0..m * k).map(|x| code(x, 37, 255)).collect(), [m, k]);
+    let bt = Int8Tensor::from_vec((0..n * k).map(|x| code(x, 29, 253)).collect(), [n, k]);
+    let packed = PackedI8::from_nk(bt.data(), k, n, k, 16);
+    let eng = ExecEngine::serial();
+    let mut out = Int32Tensor::zeros([m, n]);
+    let mut psums = vec![0i32; packed.steps() * m * n];
+    let gops = |body: &mut dyn FnMut()| -> f64 {
+        // Warm up, then time: wall-clock by design.
+        body();
+        #[allow(clippy::disallowed_methods)]
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            body();
+        }
+        2.0 * (m * k * n * reps) as f64 / t0.elapsed().as_secs_f64() / 1e9
+    };
+    let bt_gops = gops(&mut || {
+        eng.int8_matmul_bt_into(&a, &bt, &mut out);
+        std::hint::black_box(&out);
+    });
+    let packed_gops = gops(&mut || {
+        eng.int8_packed_psums_into(a.data(), &packed, &mut psums);
+        std::hint::black_box(&psums);
+    });
+    (bt_gops, packed_gops)
 }

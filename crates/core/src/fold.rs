@@ -33,7 +33,7 @@ pub enum FoldScales<'a> {
 ///
 /// The fold reads a **step-major** PSUM buffer: `np` tiles of `numel`
 /// elements, tile `i` at `psums[i·numel..(i+1)·numel]`, as
-/// [`apsq_tensor::ExecEngine::int8_bt_psums_into`] writes it. It runs in
+/// [`apsq_tensor::ExecEngine::int8_packed_psums_into`] writes it. It runs in
 /// place: once step `i` is done, its tile slot holds the stored code tile
 /// `AP*_i`, which is exactly what later steps read back — and the steps a
 /// step reads are always the contiguous run just before it. Each step is

@@ -6,7 +6,9 @@ use apsq_core::{
     ScaleSchedule, StreamingApsq,
 };
 use apsq_quant::{Bitwidth, Pow2Scale};
-use apsq_tensor::{int8_matmul_psum_tiles, ExecEngine, Int32Tensor, Int8Tensor, KernelBackend};
+use apsq_tensor::{
+    int8_matmul_psum_tiles, ExecEngine, Int32Tensor, Int8Tensor, KernelBackend, PackedI8,
+};
 use proptest::prelude::*;
 
 /// Algorithm 1 written out naively from the paper, element by element
@@ -345,7 +347,7 @@ proptest! {
         let batch = grouped_apsq(&tiles, &sched, &ApsqConfig::int8(gs));
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let mut psums = vec![0i32; tiles.len() * m * n];
-        eng.int8_bt_psums_into(&a, &bt, k, k_tile, &mut psums);
+        eng.int8_packed_psums_into(&a, &PackedI8::from_nk(&bt, k, n, k, k_tile), &mut psums);
         let mut out = vec![0i32; m * n];
         let mut fold = ApsqFold::new();
         let traffic = fold.run(

@@ -18,7 +18,7 @@
 use apsq_core::{ApsqFold, BufferTraffic, FoldScales, GroupSize};
 use apsq_dataflow::{LayerShape, Workload};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Int8Tensor, Tensor};
+use apsq_tensor::{ExecEngine, Int8Tensor, PackedI8, Tensor};
 
 /// The numeric datapath a workload executes on — the serving layer's
 /// precision switch.
@@ -154,21 +154,14 @@ pub fn execute_layer(
             }
             Precision::Int8Apsq => {
                 let a = synthetic_i8(tokens * ci, 0x5eed);
-                // The [ci, co] weight fill laid out transposed, [co, ci]
-                // (the same values): the PSUM kernel's weight layout.
-                let b = synthetic_i8(ci * co, 0xca1f);
-                let mut bt = vec![0i8; co * ci];
-                for (l, row) in b.chunks_exact(co).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        bt[j * ci + l] = v;
-                    }
-                }
-                // One sweep writes every 64-channel PSUM tile, and one
+                // The [ci, co] weight fill packed at the 64-channel step
+                // depth: one sweep writes every PSUM tile, and one
                 // calibrating fold pass commits each step's scale and
                 // quantizes it.
                 let k_tile = ci.min(64);
-                let mut psums = vec![0i32; ci.div_ceil(k_tile) * tokens * co];
-                eng.int8_bt_psums_into(&a, &bt, ci, k_tile, &mut psums);
+                let b = PackedI8::from_kn(&synthetic_i8(ci * co, 0xca1f), co, co, ci, k_tile);
+                let mut psums = vec![0i32; b.steps() * tokens * co];
+                eng.int8_packed_psums_into(&a, &b, &mut psums);
                 let mut out = vec![0i32; tokens * co];
                 psum_traffic = ApsqFold::new().run(
                     eng.backend(),

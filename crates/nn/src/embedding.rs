@@ -47,30 +47,35 @@ impl Embedding {
     ///
     /// Panics if `id` is out of vocabulary or `pos >= max_len`.
     pub fn embed_one(&self, id: usize, pos: usize) -> Tensor {
-        let d = self.tokens.value.dims()[1];
-        let vocab = self.tokens.value.dims()[0];
         let max_len = self.positions.value.dims()[0];
-        assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
         assert!(pos < max_len, "position {pos} exceeds max_len {max_len}");
-        let out: Vec<f32> = (0..d)
-            .map(|j| self.tokens.value.at(&[id, j]) + self.positions.value.at(&[pos, j]))
-            .collect();
+        let d = self.tokens.value.dims()[1];
+        let mut out = vec![0.0f32; d];
+        self.embed_row(id, pos, &mut out);
         Tensor::from_vec(out, [1, d])
     }
 
     fn embed(&self, ids: &[usize]) -> Tensor {
         let d = self.tokens.value.dims()[1];
-        let vocab = self.tokens.value.dims()[0];
         let max_len = self.positions.value.dims()[0];
         assert!(ids.len() <= max_len, "sequence longer than max_len");
         let mut out = vec![0.0f32; ids.len() * d];
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
-            for j in 0..d {
-                out[i * d + j] = self.tokens.value.at(&[id, j]) + self.positions.value.at(&[i, j]);
-            }
+        for (pos, (&id, row)) in ids.iter().zip(out.chunks_exact_mut(d)).enumerate() {
+            self.embed_row(id, pos, row);
         }
         Tensor::from_vec(out, [ids.len(), d])
+    }
+
+    /// `row = tokens[id] + positions[pos]`.
+    fn embed_row(&self, id: usize, pos: usize, row: &mut [f32]) {
+        let d = row.len();
+        let vocab = self.tokens.value.dims()[0];
+        assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
+        let tok = &self.tokens.value.data()[id * d..(id + 1) * d];
+        let posv = &self.positions.value.data()[pos * d..(pos + 1) * d];
+        for ((o, &t), &p) in row.iter_mut().zip(tok).zip(posv) {
+            *o = t + p;
+        }
     }
 
     /// Backward: scatters gradients into both tables.
@@ -83,11 +88,14 @@ impl Embedding {
         let d = self.tokens.value.dims()[1];
         let mut dtok = Tensor::zeros(self.tokens.value.shape().clone());
         let mut dpos = Tensor::zeros(self.positions.value.shape().clone());
-        for (i, &id) in ids.iter().enumerate() {
-            for j in 0..d {
-                let g = dy.at(&[i, j]);
-                dtok.set(&[id, j], dtok.at(&[id, j]) + g);
-                dpos.set(&[i, j], dpos.at(&[i, j]) + g);
+        for (pos, (&id, g)) in ids.iter().zip(dy.data().chunks_exact(d)).enumerate() {
+            let rows = dtok.data_mut()[id * d..(id + 1) * d].iter_mut();
+            for (t, &gv) in rows.zip(g) {
+                *t += gv;
+            }
+            let rows = dpos.data_mut()[pos * d..(pos + 1) * d].iter_mut();
+            for (p, &gv) in rows.zip(g) {
+                *p += gv;
             }
         }
         self.tokens.accumulate(&dtok);

@@ -4,10 +4,11 @@
 //!
 //! [`QuantLinear`] *simulates* the W8A8 + APSQ accumulation path in f32
 //! (fake quantization). [`Int8Linear`] *executes* it: activations are
-//! quantized to i8 codes, weights are stored as i8 codes in the
-//! weight-stationary `[out, in]` layout, one sweep over K writes every
-//! `Pci`-deep PSUM tile into a step-major buffer
-//! ([`ExecEngine::int8_bt_psums_into`]), and one [`ApsqFold`] pass runs
+//! quantized to i8 codes, weights are stored as i8 codes packed once at
+//! conversion for the weight-stationary sweep ([`PackedI8`]: one SIMD
+//! lane per output channel), one sweep over K writes every `Pci`-deep
+//! PSUM tile into a step-major buffer
+//! ([`ExecEngine::int8_packed_psums_into`]), and one [`ApsqFold`] pass runs
 //! Algorithm 1 over it in place — the PSUM stream of the PE array and
 //! the RAE beside it, with the epilogues on the kernel backend. Nothing
 //! leaves the integer domain between the input quantizer and the single
@@ -37,7 +38,7 @@ use crate::models::{DecoderLm, EncoderClassifier};
 use crate::norm::LayerNorm;
 use apsq_core::{ApsqConfig, ApsqFold, BufferTraffic, FoldScales, GroupSize, ScaleSchedule};
 use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
-use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int8Tensor, Tensor};
+use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int8Tensor, PackedI8, Tensor};
 use std::cell::RefCell;
 
 /// Snaps a positive step to the nearest power of two (identity on values
@@ -55,8 +56,8 @@ fn pow2_snap(step: f32) -> f32 {
 #[derive(Default)]
 struct FoldScratch {
     gemm: GemmFold,
-    /// One head's key rows `[t, dh]`.
-    keys: Vec<i8>,
+    /// One head's key rows, packed as the `Q·Kᵀ` operand.
+    keys: PackedI8,
     /// Requantized probabilities `[heads, t]`.
     probs: Vec<i8>,
 }
@@ -149,9 +150,10 @@ enum Int8PsumPath {
     },
 }
 
-/// A fully integer linear layer: i8 weight codes in the weight-stationary
-/// `[out, in]` layout, power-of-two activation/weight scales frozen from
-/// the trained LSQ observers, and an i32 bias on the product-scale grid.
+/// A fully integer linear layer: i8 weight codes packed for the
+/// weight-stationary PSUM sweep, power-of-two activation/weight scales
+/// frozen from the trained LSQ observers, and an i32 bias on the
+/// product-scale grid.
 ///
 /// Built by the PTQ conversion pass from either a [`QuantLinear`]
 /// ([`Int8Linear::from_quant_linear`] — preserves the APSQ PSUM path and
@@ -160,8 +162,9 @@ enum Int8PsumPath {
 /// best-effort W8A8 PTQ for classifier heads).
 #[derive(Clone, Debug)]
 pub struct Int8Linear {
-    /// Weight codes `[out, in]`.
-    codes: Int8Tensor,
+    /// Weight codes, `N = out` channels of `K = in`, packed at the PSUM
+    /// step depth (`K` itself on the exact path).
+    weights: PackedI8,
     x_scale: f32,
     w_scale: f32,
     /// Bias codes at the product scale `α_x·α_w`.
@@ -248,16 +251,20 @@ impl Int8Linear {
         Self::build(&l.w.value, &l.b.value, ax, aw, Int8PsumPath::Exact)
     }
 
-    /// Shared constructor: quantizes `w` (`[in, out]`) into the `[out,
-    /// in]` code layout and `b` onto the product-scale grid.
+    /// Shared constructor: quantizes `w` (`[in, out]`) into packed
+    /// weight codes and `b` onto the product-scale grid.
     fn build(w: &Tensor, b: &Tensor, x_scale: f32, w_scale: f32, psum: Int8PsumPath) -> Int8Linear {
         let (d_in, d_out) = (w.dims()[0], w.dims()[1]);
-        let mut codes = vec![0i8; d_out * d_in];
-        for i in 0..d_in {
-            for o in 0..d_out {
-                codes[o * d_in + i] = Int8Tensor::quantize_one(w.at(&[i, o]), w_scale);
-            }
-        }
+        let k_tile = match &psum {
+            Int8PsumPath::Exact => d_in,
+            Int8PsumPath::Apsq { k_tile, .. } => *k_tile,
+        };
+        let codes: Vec<i8> = w
+            .data()
+            .iter()
+            .map(|&v| Int8Tensor::quantize_one(v, w_scale))
+            .collect();
+        let weights = PackedI8::from_kn(&codes, d_out, d_out, d_in, k_tile);
         let base = x_scale * w_scale;
         let bias_q: Vec<i32> = b
             .data()
@@ -276,7 +283,7 @@ impl Int8Linear {
             .collect();
         let bias_f: Vec<f32> = bias_q.iter().map(|&q| q as f32 * base).collect();
         Int8Linear {
-            codes: Int8Tensor::from_vec(codes, [d_out, d_in]),
+            weights,
             x_scale,
             w_scale,
             bias_q,
@@ -287,12 +294,12 @@ impl Int8Linear {
 
     /// Input features.
     pub fn d_in(&self) -> usize {
-        self.codes.dims()[1]
+        self.weights.k()
     }
 
     /// Output features.
     pub fn d_out(&self) -> usize {
-        self.codes.dims()[0]
+        self.weights.n()
     }
 
     /// The frozen power-of-two activation scale `α_x`.
@@ -339,8 +346,8 @@ impl Int8Linear {
         let traffic = SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
             let k = self.d_in();
-            let traffic = s.gemm.run(eng, m * d_out, k, fold, |k_tile, buf| {
-                eng.int8_bt_psums_into(q.data(), self.codes.data(), k, k_tile, buf)
+            let traffic = s.gemm.run(eng, m * d_out, k, fold, |_, buf| {
+                eng.int8_packed_psums_into(q.data(), &self.weights, buf)
             });
             for (yrow, arow) in y
                 .chunks_exact_mut(d_out)
@@ -519,14 +526,10 @@ impl Int8MultiHeadAttention {
             // causal window.
             let mut scores = vec![0.0f32; heads * t];
             for h in 0..heads {
-                s.keys.clear();
-                for i in 0..t {
-                    s.keys
-                        .extend_from_slice(&kv.k_codes[i * d + h * dh..i * d + (h + 1) * dh]);
-                }
                 let apsq = self.seq_apsq.as_ref().map(|(c, k)| fold(*k, c));
                 traffic += s.gemm.run(eng, t, dh, apsq, |k_tile, buf| {
-                    eng.int8_bt_psums_into(&qc[h * dh..(h + 1) * dh], &s.keys, dh, k_tile, buf)
+                    s.keys.repack_nk(&kv.k_codes[h * dh..], d, t, dh, k_tile);
+                    eng.int8_packed_psums_into(&qc[h * dh..(h + 1) * dh], &s.keys, buf)
                 });
                 for (j, (o, &v)) in scores[h * t..(h + 1) * t]
                     .iter_mut()

@@ -3,7 +3,7 @@
 // lint: allow-file(float-reduction-outside-kernels) -- per-row backward sums run in fixed column order, single-threaded; order is pinned by construction
 
 use crate::param::{HasParams, Param};
-use apsq_tensor::{mean_axis1, var_axis1, Tensor};
+use apsq_tensor::Tensor;
 
 /// Layer normalization over the last axis of a `[n, d]` tensor, with
 /// learnable gain and bias.
@@ -50,25 +50,35 @@ impl LayerNorm {
         self.normalize(x).0
     }
 
+    /// `y = x̂·γ + β` with `x̂ = (x − μ)·(var + ε)^−½` per row, where `μ`
+    /// and the biased `var` are the row's `mean_axis1` / `var_axis1`
+    /// expressions: sequential sums divided by `d`, so the bits match
+    /// those reductions.
     fn normalize(&self, x: &Tensor) -> (Tensor, NormCache) {
         assert_eq!(x.rank(), 2, "LayerNorm expects [n, d]");
         let (n, d) = (x.dims()[0], x.dims()[1]);
         assert_eq!(d, self.gamma.value.numel(), "feature width mismatch");
-        let mu = mean_axis1(x);
-        let var = var_axis1(x);
-        let inv_std: Vec<f32> = var
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (v + self.eps).sqrt())
-            .collect();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let mut x_hat = vec![0.0f32; n * d];
-        for i in 0..n {
-            for j in 0..d {
-                x_hat[i * d + j] = (x.at(&[i, j]) - mu.data()[i]) * inv_std[i];
+        let mut y = vec![0.0f32; n * d];
+        let mut inv_std = Vec::with_capacity(n);
+        for ((xr, hr), yr) in x
+            .data()
+            .chunks_exact(d)
+            .zip(x_hat.chunks_exact_mut(d))
+            .zip(y.chunks_exact_mut(d))
+        {
+            let mu = xr.iter().sum::<f32>() / d as f32;
+            let var = xr.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+            let inv = 1.0 / (var + self.eps).sqrt();
+            for ((((h, o), &v), &g), &b) in hr.iter_mut().zip(yr).zip(xr).zip(gamma).zip(beta) {
+                *h = (v - mu) * inv;
+                *o = *h * g + b;
             }
+            inv_std.push(inv);
         }
+        let y = Tensor::from_vec(y, [n, d]);
         let x_hat = Tensor::from_vec(x_hat, [n, d]);
-        let y = &(&x_hat * &self.gamma.value) + &self.beta.value;
         (y, NormCache { x_hat, inv_std })
     }
 
@@ -79,38 +89,42 @@ impl LayerNorm {
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let cache = self.cache.take().expect("backward before forward");
-        let (n, d) = (dy.dims()[0], dy.dims()[1]);
-        let x_hat = &cache.x_hat;
+        let d = dy.dims()[1];
+        let gamma = self.gamma.value.data();
+        let rows = || {
+            dy.data()
+                .chunks_exact(d)
+                .zip(cache.x_hat.data().chunks_exact(d))
+        };
 
         // Parameter grads.
         let mut dgamma = vec![0.0f32; d];
         let mut dbeta = vec![0.0f32; d];
-        for i in 0..n {
-            for j in 0..d {
-                dgamma[j] += dy.at(&[i, j]) * x_hat.at(&[i, j]);
-                dbeta[j] += dy.at(&[i, j]);
+        for (dyr, hr) in rows() {
+            for (((dg, db), &g), &h) in dgamma.iter_mut().zip(&mut dbeta).zip(dyr).zip(hr) {
+                *dg += g * h;
+                *db += g;
+            }
+        }
+
+        // Input grad: dx = (1/d)·inv_std·(d·dxhat − Σdxhat − x̂·Σ(dxhat·x̂)).
+        let mut dx = vec![0.0f32; dy.numel()];
+        for ((dxr, (dyr, hr)), &inv) in dx.chunks_exact_mut(d).zip(rows()).zip(&cache.inv_std) {
+            let mut sum_dxhat = 0.0f32;
+            let mut sum_dxhat_xhat = 0.0f32;
+            for ((&g, &gm), &h) in dyr.iter().zip(gamma).zip(hr) {
+                let dxh = g * gm;
+                sum_dxhat += dxh;
+                sum_dxhat_xhat += dxh * h;
+            }
+            for (((o, &g), &gm), &h) in dxr.iter_mut().zip(dyr).zip(gamma).zip(hr) {
+                let dxh = g * gm;
+                *o = inv / d as f32 * (d as f32 * dxh - sum_dxhat - h * sum_dxhat_xhat);
             }
         }
         self.gamma.accumulate(&Tensor::from_vec(dgamma, [d]));
         self.beta.accumulate(&Tensor::from_vec(dbeta, [d]));
-
-        // Input grad: dx = (1/d)·inv_std·(d·dxhat − Σdxhat − x̂·Σ(dxhat·x̂)).
-        let mut dx = vec![0.0f32; n * d];
-        for i in 0..n {
-            let mut sum_dxhat = 0.0f32;
-            let mut sum_dxhat_xhat = 0.0f32;
-            for j in 0..d {
-                let dxh = dy.at(&[i, j]) * self.gamma.value.data()[j];
-                sum_dxhat += dxh;
-                sum_dxhat_xhat += dxh * x_hat.at(&[i, j]);
-            }
-            for j in 0..d {
-                let dxh = dy.at(&[i, j]) * self.gamma.value.data()[j];
-                dx[i * d + j] = cache.inv_std[i] / d as f32
-                    * (d as f32 * dxh - sum_dxhat - x_hat.at(&[i, j]) * sum_dxhat_xhat);
-            }
-        }
-        Tensor::from_vec(dx, [n, d])
+        Tensor::from_vec(dx, dy.dims())
     }
 }
 
@@ -124,6 +138,7 @@ impl HasParams for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apsq_tensor::{mean_axis1, var_axis1};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -58,13 +58,21 @@
 
 use crate::int_tensor::{Int32Tensor, Int8Tensor};
 use crate::kernels;
+use crate::packed::{self, PackedI8};
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 
 /// Below this many multiply-accumulates a dispatch runs inline on the
 /// calling thread. Spawning scoped workers costs tens of microseconds per
 /// call, which only amortizes once a GEMM takes a few hundred — about 2M
 /// MACs on a commodity core.
 const PARALLEL_THRESHOLD_MACS: usize = 1 << 21;
+
+thread_local! {
+    /// The widened pair rows of [`ExecEngine::int8_packed_psums_into`]'s
+    /// left operand, reused per thread so a warm caller never allocates.
+    static A_PAIRS: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A parallel tiled execution engine: a worker count plus the dispatch
 /// logic that partitions output rows over a scoped thread pool.
@@ -533,47 +541,69 @@ impl ExecEngine {
         });
     }
 
-    /// Every `k_tile`-deep exact i32 PSUM tile of `a · bᵀ` (`a` row-major
-    /// `[M, K]` i8, `b` row-major `[N, K]` i8 — the weight-stationary
-    /// layout) written **step-major** into a caller-owned buffer in one
-    /// sweep over K: tile `s` (input channels `[s·k_tile, (s+1)·k_tile)`,
-    /// the last one ragged) lands in `out[s·M·N..(s+1)·M·N]` as `[M, N]`.
-    /// This is the PE array's PSUM stream, produced without one kernel
-    /// re-entry or one allocation per tile; `apsq_core::ApsqFold` folds
-    /// it. Steps are partitioned over the worker pool, so the buffer is
-    /// bit-identical for every thread count.
+    /// Every `k_tile`-deep exact i32 PSUM tile of `a · b` (`a` row-major
+    /// `[M, K]` i8, `b` the [`PackedI8`] weight-stationary operand, whose
+    /// `k_tile` sets the step depth) written **step-major** into a
+    /// caller-owned buffer in one sweep over K: tile `s` (input channels
+    /// `[s·k_tile, (s+1)·k_tile)`, the last one ragged) lands in
+    /// `out[s·M·N..(s+1)·M·N]` as `[M, N]`. This is the PE array's PSUM
+    /// stream; `apsq_core::ApsqFold` folds it. Each row of `a` is widened
+    /// to i16 pairs once per call (per-thread scratch), then the kernel
+    /// walks 4-row × 8-channel blocks with one lane per channel — no
+    /// horizontal reductions. Steps are partitioned over the worker pool,
+    /// so the buffer is bit-identical for every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, `k_tile == 0`, either operand's length is not
-    /// a multiple of `k`, or `out.len() != ⌈k/k_tile⌉·M·N`.
-    pub fn int8_bt_psums_into(&self, a: &[i8], b: &[i8], k: usize, k_tile: usize, out: &mut [i32]) {
-        assert!(k > 0 && k_tile > 0, "k and k_tile must be positive");
+    /// Panics if `a.len()` is not a multiple of `b.k()` or `out.len() !=
+    /// b.steps()·M·N`.
+    pub fn int8_packed_psums_into(&self, a: &[i8], b: &PackedI8, out: &mut [i32]) {
+        let (k, k_tile, n) = (b.k(), b.k_tile(), b.n());
         assert!(
-            a.len().is_multiple_of(k) && b.len().is_multiple_of(k),
-            "operand lengths {} and {} are not multiples of K = {k}",
-            a.len(),
-            b.len()
+            a.len().is_multiple_of(k),
+            "operand length {} is not a multiple of K = {k}",
+            a.len()
         );
-        let (m, n) = (a.len() / k, b.len() / k);
-        let np = k.div_ceil(k_tile);
+        let m = a.len() / k;
+        let np = b.steps();
         let plane = m * n;
         assert_eq!(
             out.len(),
             np * plane,
-            "int8_bt_psums_into: out must hold {np} steps of [{m}, {n}]"
+            "int8_packed_psums_into: out must hold {np} steps of [{m}, {n}]"
         );
-        self.partition_steps(out, plane, k, k_tile, &|chunk, k0, k1| {
-            kernels::gemm_bt_i8_psums(self.backend, a, k, b, k, chunk, m, n, k0, k1, k_tile)
+        let (pairs, tp) = (b.pairs(), packed::tile_pairs(k_tile));
+        A_PAIRS.with(|buf| {
+            let mut ap = buf.borrow_mut();
+            packed::widen_pairs(a, k, k_tile, &mut ap);
+            let ap = &ap[..];
+            self.partition_steps(out, plane, k, k_tile, &|chunk, k0, k1| {
+                let (p0, p1) = (
+                    k0 / k_tile * tp,
+                    usize::min(k1.div_ceil(k_tile) * tp, pairs),
+                );
+                kernels::gemm_packed_i8_psums(
+                    self.backend,
+                    ap,
+                    b.data(),
+                    chunk,
+                    m,
+                    n,
+                    pairs,
+                    p0,
+                    p1,
+                    tp,
+                )
+            });
         });
     }
 
-    /// [`ExecEngine::int8_bt_psums_into`] for `b` stored `[K, N]` with row
-    /// stride `ldb`: row `l` of `b` is `b[l·ldb..l·ldb + n]`, so `b` can be
-    /// a column block of a wider matrix — one head's slice of a KV
-    /// cache's value rows, whose reduction axis is the context. `a` is
-    /// row-major `[M, K]`. Step-major output, bit-identical to the
-    /// transposed-layout buffer of the same product.
+    /// [`ExecEngine::int8_packed_psums_into`] for `b` stored `[K, N]` with
+    /// row stride `ldb`, read in place: row `l` of `b` is `b[l·ldb..l·ldb +
+    /// n]`, so `b` can be a column block of a wider matrix — one head's
+    /// slice of a KV cache's value rows, whose reduction axis is the
+    /// context. `a` is row-major `[M, K]`. Step-major output, bit-identical
+    /// to the packed-operand buffer of the same product.
     ///
     /// # Panics
     ///
@@ -651,7 +681,7 @@ impl ExecEngine {
     /// `[K, N]`) into one tensor per `k_tile`-deep step — for callers
     /// that need every tile as its own tensor (golden-model tests,
     /// simulators). The serving paths fold the step-major buffer of
-    /// [`ExecEngine::int8_psums_into`] / [`ExecEngine::int8_bt_psums_into`]
+    /// [`ExecEngine::int8_psums_into`] / [`ExecEngine::int8_packed_psums_into`]
     /// directly.
     ///
     /// # Panics
@@ -1055,15 +1085,15 @@ mod tests {
     }
 
     #[test]
-    fn int8_bt_psums_match_kn_layout_tiles_across_thread_counts() {
+    fn int8_packed_psums_match_kn_layout_tiles_across_thread_counts() {
         for (m, k, n, k_tile) in [(6, 33, 5, 8), (8, 128, 9, 16), (3, 7, 4, 7), (2, 5, 3, 9)] {
             let (a, b) = i8_pair(m, k, n);
-            let bt = transpose_i8(&b);
+            let packed = PackedI8::from_nk(transpose_i8(&b).data(), k, n, k, k_tile);
             let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, k_tile);
             for threads in [1, 3] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
                 let mut psums = vec![-1i32; legacy.len() * m * n];
-                eng.int8_bt_psums_into(a.data(), bt.data(), k, k_tile, &mut psums);
+                eng.int8_packed_psums_into(a.data(), &packed, &mut psums);
                 for (step, tile) in legacy.iter().enumerate() {
                     assert_eq!(
                         &psums[step * m * n..(step + 1) * m * n],

@@ -363,45 +363,46 @@ pub(crate) fn gemm_bt_i8(
     }
 }
 
-/// Every `k_tile`-deep partial sum of `a · bᵀ` in **one sweep over K**:
-/// for step `s` covering `[k0 + s·k_tile, min(k0 + (s+1)·k_tile, k1))`,
-/// **writes** (not accumulates) `out[s·m·n + i·n + j] = Σ_l a[i, l] ·
-/// b[j, l]` — a step-major `[steps, m, n]` buffer. Each output pair walks
-/// its K range once, so the per-tile re-entry, zeroing and row
-/// partitioning of a tile-at-a-time stream never happen.
-pub(crate) fn gemm_bt_i8_psums(
+/// Every `k_tile`-deep partial sum of `a · b` in **one sweep over K**,
+/// `b` a [`crate::PackedI8`] operand and `a` its widened pair rows
+/// (`[m][pairs][2]` i16, [`crate::packed::widen_pairs`]). Covers the pairs
+/// `[p0, p1)`, which start on a step boundary; every `tile_pairs` pairs
+/// close a step. Step `s` of the range **writes** `out[s·m·n + i·n + j]`
+/// — a step-major `[steps, m, n]` buffer. Vectorized along N: each of a
+/// block's eight channels owns one i32 lane, so a step's sums are
+/// complete in their lanes and no horizontal reduction runs.
+pub(crate) fn gemm_packed_i8_psums(
     bk: KernelBackend,
-    a: &[i8],
-    lda: usize,
+    a: &[i16],
     b: &[i8],
-    ldb: usize,
     out: &mut [i32],
     m: usize,
     n: usize,
-    k0: usize,
-    k1: usize,
-    k_tile: usize,
+    pairs: usize,
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
 ) {
     match bk {
         KernelBackend::Scalar => {
-            scalar::gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+            scalar::gemm_packed_i8_psums(a, b, out, m, n, pairs, p0, p1, tile_pairs)
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86-64 baseline — always present.
         KernelBackend::Sse2 => unsafe {
-            x86::sse2_gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+            x86::sse2_gemm_packed_i8_psums(a, b, out, m, n, pairs, p0, p1, tile_pairs)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `gemm_f32`.
         KernelBackend::Avx2 => unsafe {
-            x86::avx2_gemm_bt_i8_psums(a, lda, b, ldb, out, m, n, k0, k1, k_tile)
+            x86::avx2_gemm_packed_i8_psums(a, b, out, m, n, pairs, p0, p1, tile_pairs)
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("x86 backends are rejected at engine construction"),
     }
 }
 
-/// [`gemm_bt_i8_psums`] for `b` stored `[K, N]` (row stride `ldb`): step
+/// The PSUM sweep for `b` stored `[K, N]` (row stride `ldb`): step
 /// `s` **writes** `out[s·m·n + i·n + j] = Σ_l a[i, l] · b[l, j]`. Vectorized
 /// along N — the layout of a KV cache's value rows, whose context axis is
 /// the reduction. The portable body serves scalar and SSE2 (the x86-64
@@ -431,6 +432,13 @@ pub(crate) fn gemm_i8_psums(
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("x86 backends are rejected at engine construction"),
     }
+}
+
+/// The broadcast word of a widened pair: the two i16 codes as one
+/// little-endian i32 (low half first).
+#[inline(always)]
+pub(crate) fn pair_word(p: [i16; 2]) -> i32 {
+    (p[0] as u16 as u32 | (p[1] as u16 as u32) << 16) as i32
 }
 
 // ------------------------------------------------------ APSQ fold epilogues
@@ -995,12 +1003,29 @@ mod tests {
                 (3, 37, 9, 16),
                 (5, 64, 4, 16),
                 (2, 50, 7, 64),
+                (6, 37, 9, 7),
+                (9, 20, 17, 5),
             ] {
                 let a: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 11) % 255) as i8).collect();
                 let b: Vec<i8> = (0..n * k).map(|x| ((x * 29 + 3) % 253) as i8).collect();
                 let np = k.div_ceil(k_tile);
                 let mut psums = vec![i32::MIN; np * m * n];
-                gemm_bt_i8_psums(bk, &a, k, &b, k, &mut psums, m, n, 0, k, k_tile);
+                let packed = crate::PackedI8::from_nk(&b, k, n, k, k_tile);
+                let mut ap = Vec::new();
+                crate::packed::widen_pairs(&a, k, k_tile, &mut ap);
+                let (pairs, tp) = (packed.pairs(), crate::packed::tile_pairs(k_tile));
+                gemm_packed_i8_psums(
+                    bk,
+                    &ap,
+                    packed.data(),
+                    &mut psums,
+                    m,
+                    n,
+                    pairs,
+                    0,
+                    pairs,
+                    tp,
+                );
                 // The same operand stored [K, N] (with a padded row stride)
                 // through the KN kernel.
                 let ldb = n + 3;

@@ -187,32 +187,44 @@ fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     x.iter().zip(y).map(|(&p, &q)| p as i32 * q as i32).sum()
 }
 
-pub(super) fn gemm_bt_i8_psums(
-    a: &[i8],
-    lda: usize,
+/// The packed-B PSUM sweep: per block of [`NR`] channels and row, each
+/// step's pairs accumulate into one lane per channel, and the step's
+/// valid lanes are stored to its plane.
+pub(super) fn gemm_packed_i8_psums(
+    a: &[i16],
     b: &[i8],
-    ldb: usize,
     out: &mut [i32],
     m: usize,
     n: usize,
-    k0: usize,
-    k1: usize,
-    k_tile: usize,
+    pairs: usize,
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
 ) {
     let plane = m * n;
-    for i in 0..m {
-        let arow = &a[i * lda..i * lda + k1];
-        for j in 0..n {
-            let brow = &b[j * ldb..j * ldb + k1];
-            for (s, ks) in (k0..k1).step_by(k_tile).enumerate() {
-                let ke = usize::min(ks + k_tile, k1);
-                out[s * plane + i * n + j] = dot_i8(&arow[ks..ke], &brow[ks..ke]);
+    for (jb, bblk) in b.chunks_exact(2 * NR * pairs).enumerate() {
+        let (j, nc) = (jb * NR, usize::min(NR, n - jb * NR));
+        for i in 0..m {
+            let arow = a[2 * i * pairs..2 * (i + 1) * pairs].as_chunks::<2>().0;
+            for (s, ps) in (p0..p1).step_by(tile_pairs).enumerate() {
+                let pe = usize::min(ps + tile_pairs, p1);
+                let mut acc = [0i32; NR];
+                for (&[lo, hi], pair) in arow[ps..pe]
+                    .iter()
+                    .zip(bblk[2 * NR * ps..2 * NR * pe].chunks_exact(2 * NR))
+                {
+                    for (o, c) in acc.iter_mut().zip(pair.chunks_exact(2)) {
+                        *o += lo as i32 * c[0] as i32 + hi as i32 * c[1] as i32;
+                    }
+                }
+                let o = s * plane + i * n + j;
+                out[o..o + nc].copy_from_slice(&acc[..nc]);
             }
         }
     }
 }
 
-/// The `[K, N]`-layout twin of [`gemm_bt_i8_psums`]: per row, the K
+/// The `[K, N]`-layout PSUM sweep: per row, the K
 /// range is swept once, step by step, each step accumulating its rows of
 /// `b` into a zeroed output row — one output element per lane, no
 /// horizontal reduction, so the loop autovectorizes at any width.

@@ -23,7 +23,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{reduce_lanes_f32, tail_f32, tail_i8, KC, LANES, MR, NR};
+use super::{pair_word, reduce_lanes_f32, tail_f32, tail_i8, KC, LANES, MR, NR};
 
 /// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
 /// duplicate each byte into a 16-bit lane, then arithmetic-shift the copy
@@ -62,6 +62,74 @@ fn sse2_hsum_i32(v: __m128i) -> i32 {
     // SAFETY: 4-lane stack array matches the 128-bit store width.
     unsafe { _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v) };
     lanes.iter().sum()
+}
+
+/// One `R`-row × 8-channel block of a packed PSUM sweep: the widened
+/// pair rows (`[m][pairs][2]`), the block's packed codes (`[pairs][8][2]`),
+/// its first row, `(first channel, valid channels)`, and the output
+/// geometry.
+#[derive(Clone, Copy)]
+struct PackedBlock<'a> {
+    a: &'a [i16],
+    bblk: &'a [i8],
+    pairs: usize,
+    row: usize,
+    cols: (usize, usize),
+    plane: usize,
+    n: usize,
+}
+
+impl<'a> PackedBlock<'a> {
+    /// Every block of an `m × n` sweep over `pairs` K-pairs, with its
+    /// row count (`MR`, or the `m mod MR` rest): channel blocks outer,
+    /// row blocks inner.
+    fn all(
+        a: &'a [i16],
+        b: &'a [i8],
+        m: usize,
+        n: usize,
+        pairs: usize,
+    ) -> impl Iterator<Item = (PackedBlock<'a>, usize)> {
+        b.chunks_exact(2 * NR * pairs)
+            .enumerate()
+            .flat_map(move |(jb, bblk)| {
+                let cols = (jb * NR, usize::min(NR, n - jb * NR));
+                (0..m).step_by(MR).map(move |row| {
+                    let plane = m * n;
+                    let at = PackedBlock {
+                        a,
+                        bblk,
+                        pairs,
+                        row,
+                        cols,
+                        plane,
+                        n,
+                    };
+                    (at, usize::min(MR, m - row))
+                })
+            })
+    }
+
+    /// The pair words of each of the `R` rows over pairs `[p0, p1)` and
+    /// the packed code pairs of the same range — equal-length slices.
+    #[inline(always)]
+    fn range<const R: usize>(&self, p0: usize, p1: usize) -> ([&[[i16; 2]]; R], &[[i8; 2 * NR]]) {
+        let len = p1 - p0;
+        let rows = std::array::from_fn(|r| {
+            let at = 2 * ((self.row + r) * self.pairs + p0);
+            &self.a[at..at + 2 * len].as_chunks::<2>().0[..len]
+        });
+        let codes = &self.bblk[2 * NR * p0..2 * NR * p1];
+        (rows, &codes.as_chunks::<{ 2 * NR }>().0[..len])
+    }
+
+    /// Row `r`'s valid channels in step `s`'s plane of `out`.
+    #[inline(always)]
+    fn dst<'o>(&self, out: &'o mut [i32], s: usize, r: usize) -> &'o mut [i32] {
+        let (j, nc) = self.cols;
+        let o = s * self.plane + (self.row + r) * self.n + j;
+        &mut out[o..o + nc]
+    }
 }
 
 // ================================================================== SSE2
@@ -326,28 +394,65 @@ fn sse2_dot_i8(arow: &[i8], brow: &[i8]) -> i32 {
     sum
 }
 
+/// The packed-B PSUM sweep on 128-bit lanes: a pair's 16 codes widen
+/// into two registers of four channels each, and every row's broadcast
+/// pair word feeds both through `_mm_madd_epi16`.
 #[target_feature(enable = "sse2")]
-pub(super) fn sse2_gemm_bt_i8_psums(
-    a: &[i8],
-    lda: usize,
+pub(super) fn sse2_gemm_packed_i8_psums(
+    a: &[i16],
     b: &[i8],
-    ldb: usize,
     out: &mut [i32],
     m: usize,
     n: usize,
-    k0: usize,
-    k1: usize,
-    k_tile: usize,
+    pairs: usize,
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
 ) {
-    let plane = m * n;
-    for i in 0..m {
-        let arow = &a[i * lda..i * lda + k1];
-        for j in 0..n {
-            let brow = &b[j * ldb..j * ldb + k1];
-            for (s, ks) in (k0..k1).step_by(k_tile).enumerate() {
-                let ke = usize::min(ks + k_tile, k1);
-                out[s * plane + i * n + j] = sse2_dot_i8(&arow[ks..ke], &brow[ks..ke]);
+    for (at, rows) in PackedBlock::all(a, b, m, n, pairs) {
+        match rows {
+            1 => sse2_packed_rows::<1>(at, out, p0, p1, tile_pairs),
+            2 => sse2_packed_rows::<2>(at, out, p0, p1, tile_pairs),
+            3 => sse2_packed_rows::<3>(at, out, p0, p1, tile_pairs),
+            _ => sse2_packed_rows::<MR>(at, out, p0, p1, tile_pairs),
+        }
+    }
+}
+
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_packed_rows<const R: usize>(
+    at: PackedBlock<'_>,
+    out: &mut [i32],
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
+) {
+    let (rows, codes) = at.range::<R>(p0, p1);
+    for (s, step) in codes.chunks(tile_pairs).enumerate() {
+        let ps = s * tile_pairs;
+        let mut acc = [[_mm_setzero_si128(); 2]; R];
+        for (q, pair) in step.iter().enumerate() {
+            // SAFETY: pair holds exactly 2·NR = 16 codes for the 128-bit load.
+            let v = unsafe { _mm_loadu_si128(pair.as_ptr() as *const __m128i) };
+            let lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(v, v));
+            let hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(v, v));
+            for (accr, row) in acc.iter_mut().zip(rows) {
+                let w = _mm_set1_epi32(pair_word(row[ps + q]));
+                accr[0] = _mm_add_epi32(accr[0], _mm_madd_epi16(w, lo));
+                accr[1] = _mm_add_epi32(accr[1], _mm_madd_epi16(w, hi));
             }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let mut lanes = [0i32; NR];
+            // SAFETY: lanes holds exactly NR = 8 i32 for the two stores.
+            unsafe {
+                let q = lanes.as_mut_ptr() as *mut __m128i;
+                _mm_storeu_si128(q, accr[0]);
+                _mm_storeu_si128(q.add(1), accr[1]);
+            }
+            let dst = at.dst(out, s, r);
+            dst.copy_from_slice(&lanes[..dst.len()]);
         }
     }
 }
@@ -739,55 +844,64 @@ fn avx2_dot_i8(arow: &[i8], brow: &[i8]) -> i32 {
     sum
 }
 
-/// The one-sweep PSUM kernel: per row and column quad, K is walked once
-/// and every `k_tile` slice's four dot products land in their own step
-/// plane of `out`.
+/// The packed-B PSUM sweep on 256-bit lanes: per K-pair, one widening
+/// load of the block's 16 codes, then one broadcast pair word and one
+/// `_mm256_madd_epi16` per row of an [`MR`]-row block. A step's eight
+/// channel sums are complete in their lanes and are stored straight to
+/// the step plane.
 #[target_feature(enable = "avx2")]
-pub(super) fn avx2_gemm_bt_i8_psums(
-    a: &[i8],
-    lda: usize,
+pub(super) fn avx2_gemm_packed_i8_psums(
+    a: &[i16],
     b: &[i8],
-    ldb: usize,
     out: &mut [i32],
     m: usize,
     n: usize,
-    k0: usize,
-    k1: usize,
-    k_tile: usize,
+    pairs: usize,
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
 ) {
-    let plane = m * n;
-    for i in 0..m {
-        let arow = &a[i * lda..i * lda + k1];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * ldb..j * ldb + k1];
-            let b1 = &b[(j + 1) * ldb..(j + 1) * ldb + k1];
-            let b2 = &b[(j + 2) * ldb..(j + 2) * ldb + k1];
-            let b3 = &b[(j + 3) * ldb..(j + 3) * ldb + k1];
-            for (s, ks) in (k0..k1).step_by(k_tile).enumerate() {
-                let ke = usize::min(ks + k_tile, k1);
-                let r = ks..ke;
-                let sums = avx2_dot4_i8(
-                    &arow[r.clone()],
-                    &b0[r.clone()],
-                    &b1[r.clone()],
-                    &b2[r.clone()],
-                    &b3[r],
-                );
-                let o = s * plane + i * n + j;
-                let dst = &mut out[o..o + 4];
-                // SAFETY: dst holds exactly 4 i32 slots.
-                unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, sums) };
-            }
-            j += 4;
+    for (at, rows) in PackedBlock::all(a, b, m, n, pairs) {
+        match rows {
+            1 => avx2_packed_rows::<1>(at, out, p0, p1, tile_pairs),
+            2 => avx2_packed_rows::<2>(at, out, p0, p1, tile_pairs),
+            3 => avx2_packed_rows::<3>(at, out, p0, p1, tile_pairs),
+            _ => avx2_packed_rows::<MR>(at, out, p0, p1, tile_pairs),
         }
-        while j < n {
-            let brow = &b[j * ldb..j * ldb + k1];
-            for (s, ks) in (k0..k1).step_by(k_tile).enumerate() {
-                let ke = usize::min(ks + k_tile, k1);
-                out[s * plane + i * n + j] = avx2_dot_i8(&arow[ks..ke], &brow[ks..ke]);
+    }
+}
+
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_packed_rows<const R: usize>(
+    at: PackedBlock<'_>,
+    out: &mut [i32],
+    p0: usize,
+    p1: usize,
+    tile_pairs: usize,
+) {
+    let (rows, codes) = at.range::<R>(p0, p1);
+    for (s, step) in codes.chunks(tile_pairs).enumerate() {
+        let ps = s * tile_pairs;
+        let mut acc = [_mm256_setzero_si256(); R];
+        for (q, pair) in step.iter().enumerate() {
+            let bv = avx2_load16_i8_as_i16(pair);
+            for (accr, row) in acc.iter_mut().zip(rows) {
+                let w = _mm256_set1_epi32(pair_word(row[ps + q]));
+                *accr = _mm256_add_epi32(*accr, _mm256_madd_epi16(w, bv));
             }
-            j += 1;
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let dst = at.dst(out, s, r);
+            if dst.len() == NR {
+                // SAFETY: dst holds exactly NR = 8 i32 slots.
+                unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, *accr) };
+            } else {
+                let mut lanes = [0i32; NR];
+                // SAFETY: lanes holds exactly NR = 8 i32 slots.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, *accr) };
+                dst.copy_from_slice(&lanes[..dst.len()]);
+            }
         }
     }
 }

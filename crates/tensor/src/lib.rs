@@ -15,6 +15,8 @@
 //!   scoped thread pool, bit-identical results for any thread count, plus
 //!   the buffer-reusing `*_into` variants and the `for_each_k_tile`
 //!   PSUM-streaming API;
+//! - [`PackedI8`] — the weight-stationary i8 operand of the one-sweep
+//!   PSUM kernel, packed so each output channel owns one SIMD lane;
 //! - [`KernelBackend`] — the explicit-width SIMD micro-kernel tiers
 //!   (scalar reference, SSE2, AVX2) behind the engine, runtime-detected
 //!   and bit-identical to each other by construction.
@@ -46,6 +48,7 @@ mod init;
 mod int_tensor;
 mod kernels;
 mod matmul;
+mod packed;
 mod reduce;
 mod shape;
 mod tensor;
@@ -63,6 +66,7 @@ pub use matmul::{
     batched_matmul, matmul, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into,
     matmul_psum_tiles, matmul_tiled_fold,
 };
+pub use packed::PackedI8;
 pub use reduce::{argmax_axis1, mean_axis1, sum_axis0, sum_axis1, var_axis1};
 pub use shape::Shape;
 pub use tensor::Tensor;

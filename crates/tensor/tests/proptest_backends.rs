@@ -11,7 +11,7 @@
 
 use apsq_tensor::{
     fold_dequantize, fold_max_abs, fold_requantize, ExecEngine, Int32Tensor, Int8Tensor,
-    KernelBackend, Tensor,
+    KernelBackend, PackedI8, Tensor,
 };
 use proptest::prelude::*;
 
@@ -24,6 +24,21 @@ fn seeded_i8(m: usize, n: usize, seed: u32) -> Int8Tensor {
             .collect(),
         [m, n],
     )
+}
+
+/// Hashed fill over the whole i8 range, −128 included; `extreme` makes
+/// every code −128, the largest product magnitude.
+fn full_range_i8(len: usize, seed: u32, extreme: bool) -> Vec<i8> {
+    (0..len)
+        .map(|x| {
+            let h = (x as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            if extreme {
+                i8::MIN
+            } else {
+                (h >> 13) as u8 as i8
+            }
+        })
+        .collect()
 }
 
 /// Deterministic f32 fill with awkward magnitudes (rounding-sensitive).
@@ -165,27 +180,49 @@ proptest! {
         }
     }
 
-    /// The one-sweep step-major PSUM buffer (every serving GEMM's APSQ
-    /// input) is bit-identical across backends and thread counts, at
-    /// ragged shapes and k-tiles that do not divide K.
+    /// The packed-operand PSUM sweep (every serving GEMM's APSQ input)
+    /// writes the naive per-step sums on every backend and thread count:
+    /// ragged `n` (including `n % 8 != 0` and `n = 1`), row counts on
+    /// both sides of the 4-row block, odd `k_tile`s and ones that do not
+    /// divide K, full-range codes and the all-−128 extreme. Packing the
+    /// same matrix from `[N, K]` and from `[K, N]` gives one operand.
     #[test]
-    fn psum_buffers_bit_identical_across_backends(
-        (m, k, n) in ragged_dims(),
+    fn packed_psums_equal_naive_step_sums_on_every_backend(
+        m in 1usize..10,
+        n in prop_oneof![Just(1usize), 1usize..40],
+        k in 1usize..80,
         k_tile in 1usize..40,
         threads in 1usize..4,
-        seed in any::<u16>(),
+        extreme in any::<bool>(),
+        seed in any::<u32>(),
     ) {
-        let a = seeded_i8(m, k, seed as u32);
-        let b = seeded_i8(n, k, seed as u32 ^ 0xabcd);
+        let a = full_range_i8(m * k, seed, extreme);
+        let b = full_range_i8(n * k, seed ^ 0xabcd, extreme); // [N, K]
+        let packed = PackedI8::from_nk(&b, k, n, k, k_tile);
+        let mut b_kn = vec![0i8; k * n];
+        for j in 0..n {
+            for l in 0..k {
+                b_kn[l * n + j] = b[j * k + l];
+            }
+        }
+        prop_assert_eq!(&PackedI8::from_kn(&b_kn, n, n, k, k_tile), &packed);
         let np = k.div_ceil(k_tile);
         let mut want = vec![0i32; np * m * n];
-        scalar_engine(1).int8_bt_psums_into(a.data(), b.data(), k, k_tile, &mut want);
+        for s in 0..np {
+            for i in 0..m {
+                for j in 0..n {
+                    want[s * m * n + i * n + j] = (s * k_tile..usize::min((s + 1) * k_tile, k))
+                        .map(|l| a[i * k + l] as i32 * b[j * k + l] as i32)
+                        .sum();
+                }
+            }
+        }
         for bk in KernelBackend::supported() {
             let mut got = vec![-7i32; np * m * n];
             ExecEngine::with_threads(threads)
                 .with_spawn_threshold(0)
                 .with_backend(bk)
-                .int8_bt_psums_into(a.data(), b.data(), k, k_tile, &mut got);
+                .int8_packed_psums_into(&a, &packed, &mut got);
             prop_assert_eq!(&got, &want, "psums on {}", bk);
         }
     }

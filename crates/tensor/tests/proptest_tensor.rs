@@ -2,7 +2,7 @@
 
 use apsq_tensor::{
     int8_matmul, int8_matmul_psum_tiles, matmul, matmul_at, matmul_bt, matmul_psum_tiles,
-    softmax_rows, ExecEngine, Int32Tensor, Int8Tensor, Tensor,
+    softmax_rows, ExecEngine, Int32Tensor, Int8Tensor, PackedI8, Tensor,
 };
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -189,7 +189,7 @@ proptest! {
         let mut psums = vec![0i32; np * m * n];
         ExecEngine::with_threads(threads)
             .with_spawn_threshold(0)
-            .int8_bt_psums_into(a.data(), &transpose(&b), k, k_tile, &mut psums);
+            .int8_packed_psums_into(a.data(), &PackedI8::from_kn(b.data(), n, n, k, k_tile), &mut psums);
         let mut acc = Int32Tensor::zeros([m, n]);
         for tile in psums.chunks_exact(m * n) {
             let tile = Int32Tensor::from_vec(tile.to_vec(), [m, n]);
@@ -210,19 +210,13 @@ proptest! {
         let a = seeded_i8(m, k, seed as u32);
         let b = seeded_i8(k, n, seed as u32 ^ 0x77aa);
         // bᵀ stored [N, K].
-        let mut bt = vec![0i8; n * k];
-        for l in 0..k {
-            for j in 0..n {
-                bt[j * k + l] = b.data()[l * n + j];
-            }
-        }
-        let bt = Int8Tensor::from_vec(bt, [n, k]);
+        let bt = Int8Tensor::from_vec(transpose(&b), [n, k]);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let want = int8_matmul(&a, &b);
         prop_assert_eq!(&eng.int8_matmul_bt(&a, &bt), &want);
         let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
         let mut psums = vec![0i32; tiles.len() * m * n];
-        eng.int8_bt_psums_into(a.data(), bt.data(), k, k_tile, &mut psums);
+        eng.int8_packed_psums_into(a.data(), &PackedI8::from_nk(bt.data(), k, n, k, k_tile), &mut psums);
         for (step, tile) in tiles.iter().enumerate() {
             prop_assert_eq!(&psums[step * m * n..(step + 1) * m * n], tile.data());
         }

@@ -74,9 +74,10 @@ cargo run -q --release -p apsq-bench --bin overload_bench -- --quick --out targe
 echo "==> bench smoke: quant_bench --quick (writes BENCH_quant.json)"
 cargo run -q --release -p apsq-bench --bin quant_bench -- --quick --out target/BENCH_quant.smoke.json
 
-echo "==> perfbench: self-tests + 3 s overload_int8 run (served bits, fingerprint, accounting)"
+echo "==> perfbench: self-tests + 3 s overload_int8 and shared_prefix_f32 runs (served bits, fingerprint, accounting)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 cargo run --release --manifest-path perfbench/Cargo.toml -- --workload overload_int8 --seed 1 --seconds 3 --trace 0
+cargo run --release --manifest-path perfbench/Cargo.toml -- --workload shared_prefix_f32 --seed 1 --seconds 3 --trace 0
 
 echo "==> serve example smoke (with the overload burst demo)"
 cargo run -q --release --example serve_traffic -- --quick --overload
