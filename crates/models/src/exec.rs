@@ -46,7 +46,8 @@ impl Precision {
     /// Bytes one cached decode token occupies in a KV cache of this
     /// precision, per layer: the f32 cache stores `2·d` floats, the int8
     /// cache `2·d` codes plus `2·heads` per-(token, head) power-of-two
-    /// scale exponents (`apsq_nn::Int8AttentionKvCache`). The serve
+    /// scale exponents (`apsq_nn::BlockAllocator::int8_bytes_per_block`
+    /// per block token). The serve
     /// layer's KV byte budget divides by this to size resident sessions.
     pub fn kv_bytes_per_token(&self, width: usize, heads: usize) -> usize {
         match self {

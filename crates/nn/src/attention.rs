@@ -177,8 +177,9 @@ impl MultiHeadAttention {
 
     /// Inference-only forward over `[T, d]` — same math as
     /// [`Self::forward`] with frozen quantizers and no training caches
-    /// touched. The full-sequence twin of the decode path, used to verify
-    /// incremental decoding bit-for-bit.
+    /// touched. The ground truth the paged decode path
+    /// ([`Self::forward_decode_batch_paged_with`]) is verified against
+    /// bit for bit.
     pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
         let d = x.dims()[1];
         let dh = self.head_dim(d);
@@ -204,103 +205,23 @@ impl MultiHeadAttention {
         self.wo.forward_inference_with(&ctx, eng)
     }
 
-    /// Incremental decode step: attends one `[1, d]` query over the
-    /// key/value cache (appending this step's K/V first). Inference-only —
-    /// no training caches are touched.
-    ///
-    /// Equivalent to the last row of [`Self::forward`] over the full
-    /// prefix when `causal` is set (verified by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[1, d]`.
-    pub fn forward_decode(
-        &self,
-        x: &Tensor,
-        cache: &mut crate::kv_cache::AttentionKvCache,
-    ) -> Tensor {
-        self.forward_decode_with(x, cache, &ExecEngine::serial())
-    }
-
-    /// [`MultiHeadAttention::forward_decode`] routed through an execution
-    /// engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[1, d]`.
-    pub fn forward_decode_with(
-        &self,
-        x: &Tensor,
-        cache: &mut crate::kv_cache::AttentionKvCache,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        assert_eq!(x.dims()[0], 1, "decode processes one token at a time");
-        self.forward_decode_batch_with(x, &mut [cache], eng)
-    }
-
-    /// Batched decode step: one query row per sequence, each attending its
-    /// own KV cache (this step's K/V appended first). The projections and
-    /// the output GEMM run once over the whole `[B, d]` stack — the
-    /// serving-path batching win — while the per-sequence attention reads
-    /// each cache without materializing it.
-    ///
-    /// Every engine kernel reduces each output element in a fixed order
-    /// independent of the batch partition, so row `b` of the result is
-    /// bit-identical to running that sequence alone — batching decisions
-    /// can never change what a request returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[B, d]` with one cache per row.
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut crate::kv_cache::AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        let b = x.dims()[0];
-        assert_eq!(b, caches.len(), "one KV cache per batched sequence");
-        let d = x.dims()[1];
-        let dh = self.head_dim(d);
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        for (i, cache) in caches.iter_mut().enumerate() {
-            cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-        }
-
-        let mut ctx = Tensor::zeros([b, d]);
-        for (i, cache) in caches.iter().enumerate() {
-            let t = cache.len();
-            let qi = Tensor::from_vec(q.data()[i * d..(i + 1) * d].to_vec(), [1, d]);
-            let mut ctx_i = Tensor::zeros([1, d]);
-            for h in 0..self.heads {
-                let qh = slice_cols(&qi, h * dh, dh);
-                let kh = head_from_rows(cache.keys_data(), t, d, h * dh, dh);
-                let vh = head_from_rows(cache.values_data(), t, d, h * dh, dh);
-                let mut scores = eng.matmul_bt(&qh, &kh); // [1, t]
-                scores = &scores * (1.0 / (dh as f32).sqrt());
-                let p = softmax_rows(&scores);
-                let ctx_h = eng.matmul(&p, &vh); // [1, dh]
-                write_cols(&mut ctx_i, &ctx_h, h * dh);
-            }
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(ctx_i.data());
-        }
-        self.wo.forward_inference_with(&ctx, eng)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: each sequence's
-    /// K/V live in `layer`'s block table of its [`crate::PagedKvState`] instead
-    /// of one contiguous cache. This step's K/V rows are appended first
-    /// (allocating or copy-on-writing blocks as needed) under **one short
-    /// lock** on the shared [`crate::BlockPool`], then each sequence's
-    /// blocks are **gathered in token order** into the same flat `[t·d]`
-    /// layout the contiguous cache exposes — via the pool's lock-free
+    /// Batched decode step: one query row per sequence, each attending the
+    /// K/V in `layer`'s block table of its own [`crate::PagedKvState`].
+    /// The projections and the output GEMM run once over the whole
+    /// `[B, d]` stack — the serving-path batching win. This step's K/V
+    /// rows are appended first (allocating or copy-on-writing blocks as
+    /// needed) under **one short lock** on the shared
+    /// [`crate::BlockPool`], then each sequence's blocks are **gathered in
+    /// token order** into flat `[t·d]` K/V rows via the pool's lock-free
     /// gather, so no allocator lock is held during the attention GEMMs
-    /// and decode batches on other workers proceed concurrently. The GEMM
-    /// operands are byte-identical to the contiguous cache's, so the
-    /// result is bit-identical to the contiguous path for every block
-    /// size, thread count, and worker count.
+    /// and decode batches on other workers proceed concurrently.
+    ///
+    /// The gathered rows are exactly the K/V rows of
+    /// [`Self::forward_inference_with`] over the same prefix, and every
+    /// engine kernel reduces each output element in a fixed order
+    /// independent of the batch partition, so row `b` is bit-identical to
+    /// the last row of full-sequence recompute — for every block size,
+    /// batch composition, thread count, and worker count.
     ///
     /// Positions are read from the states but **not** advanced — the
     /// caller advances once after all layers of the step (see
@@ -371,7 +292,7 @@ impl HasParams for MultiHeadAttention {
 
 /// Column slice `[rows, width]` taken directly from a flat row-major
 /// buffer with leading dimension `ld` — the zero-clone twin of
-/// [`slice_cols`] for KV-cache reads.
+/// [`slice_cols`] for gathered KV reads.
 pub(crate) fn head_from_rows(
     data: &[f32],
     rows: usize,

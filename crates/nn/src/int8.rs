@@ -32,10 +32,10 @@
 //! shapes/gs/k_tile/threads.
 
 use crate::embedding::Embedding;
-use crate::kv_cache::{Int8AttentionKvCache, Int8DecoderKvState};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
 use crate::norm::LayerNorm;
+use crate::paged::quantize_int8_kv_row;
 use apsq_core::{ApsqConfig, ApsqFold, BufferTraffic, FoldScales, GroupSize, ScaleSchedule};
 use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
 use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int8Tensor, PackedI8, Tensor};
@@ -109,12 +109,12 @@ impl GemmFold {
     }
 }
 
-/// A borrowed flat view over int8 KV storage: `[t, d]` row-major i8 codes
-/// plus `[t, heads]` per-(token, head) power-of-two exponents. Both the
-/// contiguous [`Int8AttentionKvCache`] and a gather from paged
-/// [`crate::BlockAllocator`] blocks produce byte-identical views, which is
-/// what makes the paged decode path bit-identical to the contiguous one:
-/// the attention kernel only ever sees this view.
+/// A borrowed flat view over int8 KV rows: `[t, d]` row-major i8 codes
+/// plus `[t, heads]` per-(token, head) power-of-two exponents. The
+/// full-sequence forward quantizes its K/V rows into these layouts and a
+/// gather from paged [`crate::BlockAllocator`] blocks reproduces them byte
+/// for byte, which is what makes paged decode bit-identical to full
+/// recompute: the attention kernel only ever sees this view.
 struct Int8KvView<'a> {
     width: usize,
     len: usize,
@@ -122,19 +122,6 @@ struct Int8KvView<'a> {
     v_codes: &'a [i8],
     k_exps: &'a [i8],
     v_exps: &'a [i8],
-}
-
-impl<'a> Int8KvView<'a> {
-    fn from_cache(cache: &'a Int8AttentionKvCache) -> Self {
-        Int8KvView {
-            width: cache.width(),
-            len: cache.len(),
-            k_codes: cache.keys_codes(),
-            v_codes: cache.values_codes(),
-            k_exps: cache.keys_exponents(),
-            v_exps: cache.values_exponents(),
-        }
-    }
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -385,24 +372,25 @@ impl Int8Linear {
 }
 
 /// Integer-datapath multi-head self-attention, **integer end to end**:
-/// the four projections run as [`Int8Linear`] GEMMs, the KV cache stores
-/// i8 codes with per-(token, head) power-of-two scales
-/// ([`Int8AttentionKvCache`]), and both activation-activation GEMMs —
+/// the four projections run as [`Int8Linear`] GEMMs, the KV rows are
+/// stored as i8 codes with per-(token, head) power-of-two scales (in an
+/// int8 [`crate::BlockPool`] when decoding), and both
+/// activation-activation GEMMs —
 /// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 batched kernels with grouped
 /// APSQ folded over their K loops. Only the softmax (and the row-level
 /// dequant/requant glue) stays f32, as on the paper's accelerator.
 ///
 /// Q is quantized at a power-of-two scale **frozen at PTQ conversion**
-/// from a calibration sequence; K/V rows are quantized as they enter the
-/// cache at the tightest covering per-row scale. For `P·V` the softmax
+/// from a calibration sequence; K/V rows are quantized at the tightest
+/// covering per-row scale as they enter the cache. For `P·V` the softmax
 /// probabilities absorb each value row's scale before requantization, so
 /// the GEMM runs on one scale pair and APSQ folds over the **context
 /// dimension** — the PSUM traffic that dominates memory-bound decode.
 ///
 /// Every step is deterministic pure-integer or per-row f32 arithmetic, so
 /// decode results are bit-identical across engine thread counts and batch
-/// shapes, and incremental decode is bit-identical to the full-sequence
-/// forward (both walk the same per-row cache math).
+/// shapes, and paged decode is bit-identical to the full-sequence forward
+/// (both walk the same per-row attention kernel over the same codes).
 #[derive(Clone, Debug)]
 pub struct Int8MultiHeadAttention {
     wq: Int8Linear,
@@ -474,21 +462,11 @@ impl Int8MultiHeadAttention {
             .collect()
     }
 
-    /// Attends one quantized query row over a cache prefix of length
-    /// `t = cache.len()`, writing the `[d]` context row into `ctx` and
-    /// returning the PSUM buffer traffic the two APSQ folds incurred.
-    fn attend_row(
-        &self,
-        qc: &[i8],
-        cache: &Int8AttentionKvCache,
-        eng: &ExecEngine,
-        ctx: &mut [f32],
-    ) -> BufferTraffic {
-        self.attend_row_view(qc, &Int8KvView::from_cache(cache), eng, ctx)
-    }
-
-    /// [`Self::attend_row`] over a flat KV view — the single attention
-    /// kernel both the contiguous and the paged decode paths funnel into.
+    /// Attends one quantized query row over a flat KV view of length
+    /// `t = kv.len`, writing the `[d]` context row into `ctx` and
+    /// returning the PSUM buffer traffic the two APSQ folds incurred —
+    /// the single attention kernel both the full-sequence forward and
+    /// paged decode funnel into.
     ///
     /// Per head, both activation GEMMs write their step-major PSUM tiles
     /// straight from the cache rows into reused scratch and fold them in
@@ -573,88 +551,52 @@ impl Int8MultiHeadAttention {
     }
 
     /// Full-sequence inference over `[T, d]` — the integer twin of
-    /// [`crate::MultiHeadAttention::forward_inference_with`], executed as
-    /// the same per-row cache walk the decode path uses, so incremental
-    /// decoding reproduces it **bit for bit**.
+    /// [`crate::MultiHeadAttention::forward_inference_with`]. K/V rows are
+    /// quantized once through the paged pool's recipe, and each query row
+    /// attends its causal prefix through the same per-row kernel the
+    /// paged decode path uses, so decoding reproduces it **bit for bit**.
     pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let (t, d) = (x.dims()[0], x.dims()[1]);
+        let (t, d, heads) = (x.dims()[0], x.dims()[1], self.heads);
         let q = self.wq.forward_inference_with(x, eng);
         let k = self.wk.forward_inference_with(x, eng);
         let v = self.wv.forward_inference_with(x, eng);
-        let mut cache = Int8AttentionKvCache::with_capacity(d, self.heads, t);
+        let (mut kc, mut vc) = (vec![0i8; t * d], vec![0i8; t * d]);
+        let (mut ke, mut ve) = (vec![0i8; t * heads], vec![0i8; t * heads]);
+        let rows = k.data().chunks_exact(d).zip(v.data().chunks_exact(d));
+        for (i, (k_row, v_row)) in rows.enumerate() {
+            let (codes, exps) = (i * d..(i + 1) * d, i * heads..(i + 1) * heads);
+            quantize_int8_kv_row(k_row, heads, &mut kc[codes.clone()], &mut ke[exps.clone()]);
+            quantize_int8_kv_row(v_row, heads, &mut vc[codes], &mut ve[exps]);
+        }
         let mut ctx = Tensor::zeros([t, d]);
-        if self.causal {
-            for i in 0..t {
-                cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-                let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                self.attend_row(&qc, &cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
-            }
-        } else {
-            for i in 0..t {
-                cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-            }
-            for i in 0..t {
-                let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                self.attend_row(&qc, &cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
-            }
+        for i in 0..t {
+            let len = if self.causal { i + 1 } else { t };
+            let kv = Int8KvView {
+                width: d,
+                len,
+                k_codes: &kc[..len * d],
+                v_codes: &vc[..len * d],
+                k_exps: &ke[..len * heads],
+                v_exps: &ve[..len * heads],
+            };
+            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
+            self.attend_row_view(&qc, &kv, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
         }
         self.wo.forward_inference_with(&ctx, eng)
     }
 
-    /// Batched decode step over `[B, d]` with one **int8** KV cache per
-    /// row; row `b` is bit-identical to decoding that sequence alone for
-    /// every engine thread count (integer GEMMs are exact and
-    /// row-independent, and all f32 glue is per-row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[B, d]` with one cache per row.
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.forward_decode_batch_traced(x, caches, eng).0
-    }
-
-    /// [`Self::forward_decode_batch_with`] also returning the PSUM buffer
-    /// traffic the attention APSQ folds incurred across the batch.
-    pub fn forward_decode_batch_traced(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> (Tensor, BufferTraffic) {
-        let b = x.dims()[0];
-        assert_eq!(b, caches.len(), "one KV cache per batched sequence");
-        let d = x.dims()[1];
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        for (i, cache) in caches.iter_mut().enumerate() {
-            cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-        }
-        let mut traffic = BufferTraffic::new();
-        let mut ctx = Tensor::zeros([b, d]);
-        for (i, cache) in caches.iter().enumerate() {
-            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            traffic += self.attend_row(&qc, cache, eng, &mut ctx.data_mut()[i * d..(i + 1) * d]);
-        }
-        (self.wo.forward_inference_with(&ctx, eng), traffic)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: each sequence's
-    /// K/V rows for this layer live in fixed-size blocks owned by the
-    /// shared **int8** [`crate::BlockPool`] and addressed through the
-    /// sequence's [`crate::PagedKvState`] block table. Appends quantize
-    /// through the same per-(token, head) covering-scale recipe as
-    /// [`Int8AttentionKvCache`] under one short pool lock; attention
-    /// gathers the table back into the same flat view the contiguous path
-    /// reads via the pool's lock-free gather, so no allocator lock is
-    /// held during the integer GEMMs — and the result is **bit-identical**
-    /// to the contiguous path for every block size, engine thread count,
-    /// and worker count.
+    /// Batched decode step over `[B, d]`: each sequence's K/V rows for
+    /// this layer live in fixed-size blocks owned by the shared **int8**
+    /// [`crate::BlockPool`] and addressed through the sequence's
+    /// [`crate::PagedKvState`] block table. Appends quantize through the
+    /// per-(token, head) covering-scale recipe of
+    /// [`Self::forward_inference_with`] under one short pool lock;
+    /// attention gathers the table back into a flat view via the pool's
+    /// lock-free gather, so no allocator lock is held during the integer
+    /// GEMMs. Row `b` is **bit-identical** to the last row of the
+    /// full-sequence forward over that sequence's prefix for every block
+    /// size, engine thread count, and worker count (integer GEMM rows are
+    /// independent and exact, and all f32 glue is per-row).
     ///
     /// Positions are read but **not** advanced; the model driver calls
     /// [`crate::PagedKvState::advance`] once per step after all layers.
@@ -807,23 +749,10 @@ impl Int8TransformerBlock {
         self.ffn_inference(&x1, eng)
     }
 
-    /// Batched decode step over `[B, d]` — one row and one **int8** KV
-    /// cache per sequence.
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        let a = self.ln1.forward_inference(x);
-        let a = self.attn.forward_decode_batch_with(&a, caches, eng);
-        let x1 = x + &a;
-        self.ffn_inference(&x1, eng)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: K/V for this
-    /// block live in `layer`'s block table of each sequence's
-    /// [`crate::PagedKvState`]. Bit-identical to the contiguous path (see
+    /// Batched decode step over `[B, d]` — one row per sequence, whose K/V
+    /// for this block live in `layer`'s block table of its
+    /// [`crate::PagedKvState`]. Bit-identical to the last row of
+    /// [`Self::forward_inference_with`] over each prefix (see
     /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
     pub fn forward_decode_batch_paged_with(
         &self,
@@ -940,18 +869,6 @@ impl Int8DecoderLm {
         self.embed.positions.value.dims()[0]
     }
 
-    /// Int8 KV-cache state with every layer preallocated for `max_len` —
-    /// `2·(d + heads)` bytes per cached token instead of the f32 cache's
-    /// `8·d`.
-    pub fn new_kv_state_with_capacity(&self) -> Int8DecoderKvState {
-        Int8DecoderKvState::for_layers_with_capacity(
-            self.blocks.len(),
-            self.width(),
-            self.heads(),
-            self.max_len(),
-        )
-    }
-
     /// Full-sequence inference: token ids → `[T, vocab]` logits.
     pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
         let mut h = self.embed.forward_inference(ids);
@@ -959,59 +876,6 @@ impl Int8DecoderLm {
             h = b.forward_inference_with(&h, eng);
         }
         let h = self.ln.forward_inference(&h);
-        self.lm_head.forward_inference_with(&h, eng)
-    }
-
-    /// One autoregressive decode step (batch of one).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Int8DecoderLm::decode_batch_with`].
-    pub fn decode_step_with(
-        &self,
-        token: usize,
-        state: &mut Int8DecoderKvState,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.decode_batch_with(&[token], std::slice::from_mut(state), eng)
-    }
-
-    /// Batched decode through the integer datapath: one token and one KV
-    /// state per sequence, returning `[B, vocab]` next-token logits. Row
-    /// `b` is bit-identical to decoding that sequence alone, for every
-    /// engine thread count — integer GEMM rows are independent and exact,
-    /// and the f32 glue is per-row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` and `states` lengths differ, the batch is
-    /// empty, a state was built for a different depth, or a position
-    /// exceeds `max_len`.
-    pub fn decode_batch_with(
-        &self,
-        tokens: &[usize],
-        states: &mut [Int8DecoderKvState],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        assert_eq!(tokens.len(), states.len(), "one KV state per token");
-        assert!(!tokens.is_empty(), "empty decode batch");
-        let d = self.width();
-        let mut x = Tensor::zeros([tokens.len(), d]);
-        for (i, (&t, s)) in tokens.iter().zip(states.iter()).enumerate() {
-            assert_eq!(s.layers.len(), self.blocks.len(), "KV state depth mismatch");
-            let row = self.embed.embed_one(t, s.position);
-            x.data_mut()[i * d..(i + 1) * d].copy_from_slice(row.data());
-        }
-        let mut h = x;
-        for (l, b) in self.blocks.iter().enumerate() {
-            let mut caches: Vec<&mut Int8AttentionKvCache> =
-                states.iter_mut().map(|s| &mut s.layers[l]).collect();
-            h = b.forward_decode_batch_with(&h, &mut caches, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        for s in states.iter_mut() {
-            s.position += 1;
-        }
         self.lm_head.forward_inference_with(&h, eng)
     }
 
@@ -1023,13 +887,16 @@ impl Int8DecoderLm {
         crate::PagedKvState::for_layers(self.blocks.len())
     }
 
-    /// Paged twin of [`Int8DecoderLm::decode_batch_with`]: every
-    /// sequence's KV lives in fixed-size blocks carved from the shared
-    /// pool's byte budget instead of per-session contiguous buffers. The
-    /// pool lock covers only appends; gathers are lock-free, so batches
-    /// on other workers decode concurrently. Bit-identical to the
-    /// contiguous path for every block size, engine thread count, and
-    /// worker count (see
+    /// Batched decode through the integer datapath: one token and one
+    /// paged KV state per sequence, returning `[B, vocab]` next-token
+    /// logits. Every sequence's KV lives in fixed-size blocks carved from
+    /// the shared pool's byte budget (`2·(d + heads)` bytes per token and
+    /// layer instead of the f32 pool's `8·d`). The pool lock covers only
+    /// appends; gathers are lock-free, so batches on other workers decode
+    /// concurrently. Row `b` is bit-identical to row `t` of
+    /// [`Self::forward_inference_with`] over that sequence's tokens so
+    /// far, for every block size, batch composition, engine thread count,
+    /// and worker count (see
     /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
     ///
     /// # Panics
@@ -1243,29 +1110,55 @@ mod tests {
         assert!(rel < 0.1, "PTQ error {rel}");
     }
 
-    #[test]
-    fn int8_decoder_decode_matches_its_full_forward() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let cfg = ModelConfig::tiny(apsq_mode(2, 16));
+    /// A primed tiny decoder in `mode` and its PTQ conversion.
+    fn converted(seed: u64, mode: PsumMode, eng: &ExecEngine) -> (crate::DecoderLm, Int8DecoderLm) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = ModelConfig::tiny(mode);
         let mut m = crate::DecoderLm::new(&cfg, &mut rng);
         let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
         let _ = m.forward(&prime);
+        let im = Int8DecoderLm::from_decoder(&m, &prime, eng);
+        (m, im)
+    }
+
+    /// An int8 block pool with room for `sessions` sequences of `tokens`
+    /// tokens at `block_tokens` tokens per block.
+    fn int8_pool(
+        im: &Int8DecoderLm,
+        block_tokens: usize,
+        tokens: usize,
+        sessions: usize,
+    ) -> crate::BlockPool {
+        let blocks = sessions * im.num_layers() * tokens.div_ceil(block_tokens);
+        let bytes =
+            crate::BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads());
+        crate::BlockPool::new(crate::BlockAllocator::int8(
+            blocks * bytes,
+            block_tokens,
+            im.width(),
+            im.heads(),
+        ))
+    }
+
+    #[test]
+    fn int8_decoder_decode_matches_its_full_forward() {
         let eng = ExecEngine::serial();
-        let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
+        let (_, im) = converted(21, apsq_mode(2, 16), &eng);
         assert_eq!(im.num_layers(), 2);
-        assert_eq!(im.vocab(), cfg.vocab);
+        assert_eq!(im.vocab(), 16);
 
         let ids = [3usize, 7, 1, 12, 5, 9];
         let full = im.forward_inference_with(&ids, &eng);
-        let mut state = im.new_kv_state_with_capacity();
+        let pool = int8_pool(&im, 4, ids.len(), 1);
+        let mut state = im.new_paged_state();
         let mut dec = Tensor::zeros([1, 1]);
         for &t in &ids {
-            dec = im.decode_step_with(t, &mut state, &eng);
+            dec = im.decode_batch_paged_with(&[t], &mut [&mut state], &pool, &eng);
         }
-        // Incremental int8 decode walks the exact per-row cache math of the
+        // Paged int8 decode walks the exact per-row attention kernel of the
         // full-sequence forward: bit-identical, not merely close.
         let last = ids.len() - 1;
-        for j in 0..cfg.vocab {
+        for j in 0..im.vocab() {
             assert_eq!(
                 full.at(&[last, j]).to_bits(),
                 dec.at(&[0, j]).to_bits(),
@@ -1282,13 +1175,9 @@ mod tests {
 
     #[test]
     fn decode_attention_traffic_matches_analytic_counts() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let cfg = ModelConfig::tiny(apsq_mode(2, 4));
-        let mut m = crate::DecoderLm::new(&cfg, &mut rng);
-        let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
-        let _ = m.forward(&prime);
         let eng = ExecEngine::serial();
-        let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
+        let (_, im) = converted(41, apsq_mode(2, 4), &eng);
+        let mut rng = StdRng::seed_from_u64(42);
 
         // Drive one attention layer directly and compare traced traffic to
         // the Algorithm-1 invariant counts.
@@ -1297,10 +1186,13 @@ mod tests {
         // Degenerate context: no cached rows means no attention GEMMs
         // (and no u64 underflow in the `np − 1` read counts).
         assert_eq!(attn.attn_psum_words(0), BufferTraffic::new());
-        let mut cache = Int8AttentionKvCache::with_capacity(d, im.heads(), 16);
+        let pool = int8_pool(&im, 4, 9, 1);
+        let mut state = crate::PagedKvState::for_layers(1);
         for step in 0..9 {
             let x = apsq_tensor::randn([1, d], 1.0, &mut rng);
-            let (_, traffic) = attn.forward_decode_batch_traced(&x, &mut [&mut cache], &eng);
+            let (_, traffic) =
+                attn.forward_decode_batch_paged_traced(&x, 0, &pool, &mut [&mut state], &eng);
+            state.advance();
             let t = step + 1;
             assert_eq!(
                 traffic,
@@ -1312,65 +1204,74 @@ mod tests {
 
     #[test]
     fn int8_kv_cache_is_4x_smaller_per_token() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let cfg = ModelConfig::tiny(apsq_mode(2, 16));
-        let mut m = crate::DecoderLm::new(&cfg, &mut rng);
-        let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
-        let _ = m.forward(&prime);
-        let eng = ExecEngine::serial();
-        let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
-
-        let mut i8_state = im.new_kv_state_with_capacity();
-        let mut f32_state = m.new_kv_state_with_capacity();
-        for &t in &[1usize, 2, 3] {
-            let _ = im.decode_step_with(t, &mut i8_state, &eng);
-            let _ = m.decode_step_with(t, &mut f32_state, &eng);
+        use crate::BlockAllocator;
+        let ratio = |bt: usize, d: usize, heads: usize| {
+            BlockAllocator::f32_bytes_per_block(bt, d) as f64
+                / BlockAllocator::int8_bytes_per_block(bt, d, heads) as f64
+        };
+        for bt in [1usize, 4, 16] {
+            // tiny config: d = 64, heads = 4 ⇒ 8·64 / (2·(64 + 4)) = 3.76.
+            assert!(ratio(bt, 64, 4) > 3.7, "tiny ratio {}", ratio(bt, 64, 4));
+            // The serving-scale shape (head_dim 64) compresses ≥ 3.9×.
+            assert!(
+                ratio(bt, 256, 4) >= 3.9,
+                "serving ratio {}",
+                ratio(bt, 256, 4)
+            );
         }
-        let f32_bytes = f32_state.kv_bytes();
-        let i8_bytes = i8_state.kv_bytes();
+
+        // Live sessions hold the same ratio: one 3-token session per pool.
+        let eng = ExecEngine::serial();
+        let (m, im) = converted(43, apsq_mode(2, 16), &eng);
+        let i8_pool = int8_pool(&im, 4, 3, 1);
+        let f32_pool = crate::BlockPool::new(BlockAllocator::f32(
+            m.num_layers() * BlockAllocator::f32_bytes_per_block(4, m.width()),
+            4,
+            m.width(),
+        ));
+        let (mut i8_state, mut f32_state) = (im.new_paged_state(), m.new_paged_state());
+        for &t in &[1usize, 2, 3] {
+            let _ = im.decode_batch_paged_with(&[t], &mut [&mut i8_state], &i8_pool, &eng);
+            let _ = m.decode_batch_paged_with(&[t], &mut [&mut f32_state], &f32_pool, &eng);
+        }
+        let i8_bytes = i8_state.kv_bytes(&i8_pool.lock());
+        let f32_bytes = f32_state.kv_bytes(&f32_pool.lock());
         assert!(i8_bytes > 0);
         let ratio = f32_bytes as f64 / i8_bytes as f64;
-        // tiny config: d = 64, heads = 4 ⇒ 8·64 / (2·(64 + 4)) = 3.76;
-        // serving shapes with head_dim ≥ 40 exceed 3.9 (see kv_cache tests).
-        assert!(ratio > 3.7, "per-token KV ratio {ratio}");
+        assert!(ratio > 3.7, "per-session KV ratio {ratio}");
     }
 
     #[test]
     fn int8_decoder_batched_decode_is_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let cfg = ModelConfig::tiny(apsq_mode(3, 8));
-        let mut m = crate::DecoderLm::new(&cfg, &mut rng);
-        let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
-        let _ = m.forward(&prime);
         let eng = ExecEngine::with_threads(4).with_spawn_threshold(0);
-        let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
-
+        let (_, im) = converted(23, apsq_mode(3, 8), &eng);
         let seqs: [&[usize]; 3] = [&[1, 2, 3], &[7, 7], &[4, 9, 2]];
+        let pool = int8_pool(&im, 2, 3, 2 * seqs.len());
         // Sequential reference.
         let mut solo_logits = Vec::new();
         for seq in &seqs {
-            let mut st = im.new_kv_state_with_capacity();
+            let mut st = im.new_paged_state();
             let mut last = Tensor::zeros([1, 1]);
             for &t in *seq {
-                last = im.decode_step_with(t, &mut st, &eng);
+                last = im.decode_batch_paged_with(&[t], &mut [&mut st], &pool, &eng);
             }
             solo_logits.push(last);
         }
         // Batched: step through in lockstep while sequences remain.
-        let mut states: Vec<Int8DecoderKvState> =
-            (0..3).map(|_| im.new_kv_state_with_capacity()).collect();
+        let mut states: Vec<crate::PagedKvState> = (0..3).map(|_| im.new_paged_state()).collect();
         let mut batched_last: Vec<Option<Tensor>> = vec![None; 3];
         for step in 0..3 {
             let active: Vec<usize> = (0..3).filter(|&i| step < seqs[i].len()).collect();
             let tokens: Vec<usize> = active.iter().map(|&i| seqs[i][step]).collect();
-            let mut sts: Vec<Int8DecoderKvState> = Vec::new();
-            for &i in &active {
-                sts.push(states[i].clone());
-            }
-            let logits = im.decode_batch_with(&tokens, &mut sts, &eng);
+            let mut sts: Vec<&mut crate::PagedKvState> = states
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| step < seqs[*i].len())
+                .map(|(_, s)| s)
+                .collect();
+            let logits = im.decode_batch_paged_with(&tokens, &mut sts, &pool, &eng);
             let vocab = logits.dims()[1];
             for (row, &i) in active.iter().enumerate() {
-                states[i] = sts[row].clone();
                 batched_last[i] = Some(Tensor::from_vec(
                     logits.data()[row * vocab..(row + 1) * vocab].to_vec(),
                     [1, vocab],
@@ -1383,46 +1284,25 @@ mod tests {
     }
 
     #[test]
-    fn int8_paged_decode_is_bit_identical_to_contiguous() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let cfg = ModelConfig::tiny(apsq_mode(2, 8));
-        let mut m = crate::DecoderLm::new(&cfg, &mut rng);
-        let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
-        let _ = m.forward(&prime);
-        let im = Int8DecoderLm::from_decoder(&m, &prime, &ExecEngine::serial());
-
+    fn int8_paged_decode_is_bit_identical_to_full_recompute() {
+        let (_, im) = converted(29, apsq_mode(2, 8), &ExecEngine::serial());
         let ids = [3usize, 7, 1, 12, 5, 9, 2];
-        // Contiguous reference.
-        let mut ref_state = im.new_kv_state_with_capacity();
-        let mut reference = Tensor::zeros([1, 1]);
-        for &t in &ids {
-            reference = im.decode_step_with(t, &mut ref_state, &ExecEngine::serial());
-        }
+        let full = im.forward_inference_with(&ids, &ExecEngine::serial());
+        let vocab = im.vocab();
         for block_tokens in [1usize, 3, 8] {
             for threads in [1usize, 4] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-                let budget = im.num_layers()
-                    * ids.len().div_ceil(block_tokens)
-                    * crate::BlockAllocator::int8_bytes_per_block(
-                        block_tokens,
-                        im.width(),
-                        im.heads(),
-                    );
-                let pool = crate::BlockPool::new(crate::BlockAllocator::int8(
-                    budget,
-                    block_tokens,
-                    im.width(),
-                    im.heads(),
-                ));
+                let pool = int8_pool(&im, block_tokens, ids.len(), 1);
                 let mut state = im.new_paged_state();
-                let mut paged = Tensor::zeros([1, 1]);
-                for &t in &ids {
-                    paged = im.decode_batch_paged_with(&[t], &mut [&mut state], &pool, &eng);
+                for (t, &tok) in ids.iter().enumerate() {
+                    let paged = im.decode_batch_paged_with(&[tok], &mut [&mut state], &pool, &eng);
+                    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(paged.data()),
+                        bits(&full.data()[t * vocab..(t + 1) * vocab]),
+                        "step {t} block_tokens={block_tokens} threads={threads}"
+                    );
                 }
-                assert_eq!(
-                    paged, reference,
-                    "block_tokens={block_tokens} threads={threads}"
-                );
                 let mut alloc = pool.lock();
                 state.release(&mut alloc);
                 assert_eq!(alloc.blocks_in_use(), 0);
@@ -1457,8 +1337,9 @@ mod tests {
         let eng = ExecEngine::serial();
         let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
         let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
-        let mut st = im.new_kv_state_with_capacity();
-        let logits = im.decode_step_with(1, &mut st, &eng);
+        let pool = int8_pool(&im, 4, 1, 1);
+        let mut st = im.new_paged_state();
+        let logits = im.decode_batch_paged_with(&[1], &mut [&mut st], &pool, &eng);
         assert_eq!(logits.dims(), &[1, cfg.vocab]);
         assert!(logits.data().iter().all(|v| v.is_finite()));
     }

@@ -15,11 +15,11 @@
 //!   **true integer inference datapath**: i8×i8→i32 GEMMs with grouped
 //!   APSQ folded into the K loop, produced by a PTQ conversion pass and
 //!   bit-identical to the fake-quant path under power-of-two scales;
-//! - [`BlockAllocator`], [`PagedKvState`] — paged KV storage: fixed-size
-//!   token blocks carved from one byte budget with refcounted
-//!   copy-on-write sharing, plus `*_paged_with` decode entry points on
-//!   the models that walk block tables bit-identically to the contiguous
-//!   caches;
+//! - [`BlockAllocator`], [`PagedKvState`] — the crate's one KV cache:
+//!   fixed-size token blocks carved from one byte budget with refcounted
+//!   copy-on-write sharing, walked by the models' `*_paged_with` decode
+//!   entry points bit-identically to full-sequence recompute
+//!   (`forward_inference_with`) at both precisions;
 //! - [`GlueTask`], [`SegTask`], [`LmFamily`] — synthetic stand-ins for
 //!   GLUE / ADE20K / zero-shot-reasoning benchmarks (see DESIGN.md for the
 //!   substitution argument);
@@ -47,7 +47,6 @@ mod block;
 mod data;
 mod embedding;
 mod int8;
-mod kv_cache;
 mod linear;
 mod loss;
 mod metrics;
@@ -64,7 +63,6 @@ pub use embedding::Embedding;
 pub use int8::{
     Int8DecoderLm, Int8EncoderClassifier, Int8Linear, Int8MultiHeadAttention, Int8TransformerBlock,
 };
-pub use kv_cache::{AttentionKvCache, DecoderKvState, Int8AttentionKvCache, Int8DecoderKvState};
 pub use linear::{Linear, PsumMode, QuantLinear};
 pub use loss::{cross_entropy, distillation_loss, mse_loss};
 pub use metrics::{accuracy, matthews_corr, mean_iou, pearson, spearman_rho};

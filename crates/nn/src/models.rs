@@ -405,97 +405,6 @@ impl DecoderLm {
         self.embed.positions.value.dims()[0]
     }
 
-    /// Initializes KV-cache state for this model's depth.
-    pub fn new_kv_state(&self) -> crate::kv_cache::DecoderKvState {
-        crate::kv_cache::DecoderKvState::for_layers(self.blocks.len())
-    }
-
-    /// KV-cache state with every layer preallocated for the model's full
-    /// `max_len` — no buffer growth during decode.
-    pub fn new_kv_state_with_capacity(&self) -> crate::kv_cache::DecoderKvState {
-        crate::kv_cache::DecoderKvState::for_layers_with_capacity(
-            self.blocks.len(),
-            self.width(),
-            self.max_len(),
-        )
-    }
-
-    /// One autoregressive decode step: consumes `token` at the state's
-    /// current position, updates every layer's KV cache, and returns the
-    /// `[1, vocab]` next-token logits. Inference-only.
-    ///
-    /// Feeding a sequence token-by-token through this method produces the
-    /// same final-position logits as [`Self::forward`] on the whole prefix
-    /// (verified by tests) — the software analogue of the decode stage the
-    /// paper's `Po = 1` configuration accelerates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state was built for a different depth or the position
-    /// exceeds the model's `max_len`.
-    pub fn decode_step(&self, token: usize, state: &mut crate::kv_cache::DecoderKvState) -> Tensor {
-        self.decode_step_with(token, state, &ExecEngine::serial())
-    }
-
-    /// [`DecoderLm::decode_step`] routed through an execution engine.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DecoderLm::decode_step`].
-    pub fn decode_step_with(
-        &self,
-        token: usize,
-        state: &mut crate::kv_cache::DecoderKvState,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.decode_batch_with(&[token], std::slice::from_mut(state), eng)
-    }
-
-    /// Batched decode: one token and one KV state per sequence, returning
-    /// `[B, vocab]` next-token logits (row order follows the inputs).
-    /// Projection, FFN, and LM-head GEMMs run once over the whole batch —
-    /// the dynamic-batching win a serving layer exploits — while each
-    /// sequence attends only its own cache at its own position.
-    ///
-    /// Row `b` is bit-identical to calling [`Self::decode_step_with`] on
-    /// that sequence alone: every engine kernel reduces each output
-    /// element in a fixed order independent of the batch partition, and
-    /// every non-GEMM op is per-row. Batch composition can therefore never
-    /// change a sequence's logits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` and `states` lengths differ, the batch is empty,
-    /// a state was built for a different depth, or a position exceeds
-    /// `max_len`.
-    pub fn decode_batch_with(
-        &self,
-        tokens: &[usize],
-        states: &mut [crate::kv_cache::DecoderKvState],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        assert_eq!(tokens.len(), states.len(), "one KV state per token");
-        assert!(!tokens.is_empty(), "empty decode batch");
-        let d = self.width();
-        let mut x = Tensor::zeros([tokens.len(), d]);
-        for (i, (&t, s)) in tokens.iter().zip(states.iter()).enumerate() {
-            assert_eq!(s.layers.len(), self.blocks.len(), "KV state depth mismatch");
-            let row = self.embed.embed_one(t, s.position);
-            x.data_mut()[i * d..(i + 1) * d].copy_from_slice(row.data());
-        }
-        let mut h = x;
-        for (l, b) in self.blocks.iter().enumerate() {
-            let mut caches: Vec<&mut crate::kv_cache::AttentionKvCache> =
-                states.iter_mut().map(|s| &mut s.layers[l]).collect();
-            h = b.forward_decode_batch_with(&h, &mut caches, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        for s in states.iter_mut() {
-            s.position += 1;
-        }
-        self.lm_head.forward_inference_with(&h, eng)
-    }
-
     /// Initializes **paged** KV state for this model's depth: one block
     /// table per layer, growing block-by-block from a shared
     /// [`crate::BlockAllocator`] instead of one preallocated buffer per
@@ -504,17 +413,26 @@ impl DecoderLm {
         crate::paged::PagedKvState::for_layers(self.blocks.len())
     }
 
-    /// Paged twin of [`Self::decode_batch_with`]: each sequence's KV rows
-    /// live in fixed-size blocks referenced by its state's per-layer
-    /// block tables, carved from the shared [`crate::BlockPool`]. Appends
-    /// take one short pool lock per layer, allocate a block per layer at
-    /// each `block_tokens` boundary, and copy-on-write shared tail
-    /// blocks; reads gather blocks in token order into the flat layout of
-    /// the contiguous cache **without holding the pool lock**, so decode
-    /// batches on other workers run concurrently and row `b` is
-    /// **bit-identical** to [`Self::decode_batch_with`] on a contiguous
-    /// state — for every block size, batch composition, engine thread
-    /// count, and worker count (pinned by `tests/proptest_paged.rs`).
+    /// Batched autoregressive decode: one token and one paged KV state per
+    /// sequence, returning `[B, vocab]` next-token logits (row order
+    /// follows the inputs). Projection, FFN, and LM-head GEMMs run once
+    /// over the whole batch — the dynamic-batching win a serving layer
+    /// exploits — while each sequence attends only its own KV at its own
+    /// position.
+    ///
+    /// Each sequence's KV rows live in fixed-size blocks referenced by its
+    /// state's per-layer block tables, carved from the shared
+    /// [`crate::BlockPool`]. Appends take one short pool lock per layer,
+    /// allocate a block per layer at each `block_tokens` boundary, and
+    /// copy-on-write shared tail blocks; reads gather blocks in token
+    /// order **without holding the pool lock**, so decode batches on
+    /// other workers run concurrently. Row `b` is **bit-identical** to
+    /// row `t` of [`Self::forward_inference_with`] over that sequence's
+    /// tokens so far — for every block size, batch composition, engine
+    /// thread count, and worker count (pinned by `tests/proptest_paged.rs`
+    /// and `tests/proptest_decode.rs`): every engine kernel reduces each
+    /// output element in a fixed order independent of the batch
+    /// partition, and every non-GEMM op is per-row.
     ///
     /// # Panics
     ///
@@ -547,28 +465,6 @@ impl DecoderLm {
             s.advance();
         }
         self.lm_head.forward_inference_with(&h, eng)
-    }
-
-    /// Greedy generation: consumes `prompt`, then emits `new_tokens`
-    /// argmax continuations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty or the total length exceeds `max_len`.
-    pub fn generate(&self, prompt: &[usize], new_tokens: usize) -> Vec<usize> {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        let mut state = self.new_kv_state();
-        let mut logits = Tensor::zeros([1, 1]);
-        for &t in prompt {
-            logits = self.decode_step(t, &mut state);
-        }
-        let mut out = Vec::with_capacity(new_tokens);
-        for _ in 0..new_tokens {
-            let next = apsq_tensor::argmax_axis1(&logits)[0];
-            out.push(next);
-            logits = self.decode_step(next, &mut state);
-        }
-        out
     }
 }
 
@@ -620,10 +516,15 @@ mod tests {
         // compare the last-position logits against the incremental path.
         let full = m.forward(&ids);
         let last = ids.len() - 1;
-        let mut state = m.new_kv_state();
+        let pool = crate::BlockPool::new(crate::BlockAllocator::f32(
+            cfg.layers * crate::BlockAllocator::f32_bytes_per_block(ids.len(), cfg.d_model),
+            ids.len(),
+            cfg.d_model,
+        ));
+        let mut state = m.new_paged_state();
         let mut dec = Tensor::zeros([1, 1]);
         for &t in &ids {
-            dec = m.decode_step(t, &mut state);
+            dec = m.decode_batch_paged_with(&[t], &mut [&mut state], &pool, &ExecEngine::serial());
         }
         for j in 0..cfg.vocab {
             assert!(
@@ -633,18 +534,7 @@ mod tests {
                 dec.at(&[0, j])
             );
         }
-        assert_eq!(state.position, ids.len());
-    }
-
-    #[test]
-    fn greedy_generation_runs() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let cfg = ModelConfig::tiny(PsumMode::Exact);
-        let mut m = DecoderLm::new(&cfg, &mut rng);
-        let _ = m.forward(&[1, 2, 3]); // init quantizers
-        let out = m.generate(&[1, 2, 3], 5);
-        assert_eq!(out.len(), 5);
-        assert!(out.iter().all(|&t| t < cfg.vocab));
+        assert_eq!(state.position(), ids.len());
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Paged KV storage: fixed-size token blocks carved from one byte budget.
+//! Paged KV storage: fixed-size token blocks carved from one byte budget
+//! — the only KV cache in the crate, and the one every decode entry point
+//! reads.
 //!
-//! The contiguous caches in [`crate::AttentionKvCache`] /
-//! [`crate::Int8AttentionKvCache`] preallocate one buffer per session, so
-//! a serving byte budget admits `budget / bytes_per_session` sessions no
-//! matter how short their contexts actually are. This module replaces
-//! that with the vLLM-style paged layout:
+//! A per-session buffer preallocated for the full context would admit
+//! `budget / bytes_per_session` sessions no matter how short their
+//! contexts actually are. This module uses the vLLM-style paged layout
+//! instead:
 //!
 //! - [`BlockAllocator`] carves the budget into **blocks** of
 //!   `block_tokens` tokens each (f32 rows, or i8 codes + per-(token, head)
-//!   power-of-two exponents — the same storage recipe as the contiguous
-//!   caches, produced by the same quantization function), managed through
+//!   power-of-two exponents quantized by the crate's one KV recipe, the
+//!   same function the int8 full-sequence forward calls), managed through
 //!   a free list and per-block reference counts;
 //! - [`PagedKvState`] is one session's per-layer **block tables**: block
 //!   ids in token order plus the decode position. Appending a row
@@ -21,12 +22,13 @@
 //!   prefixes — the decoder is deterministic, so equal prefixes produce
 //!   equal KV bytes) deduplicate them.
 //!
-//! Reads **gather** block contents in token order into the same flat
-//! `[t·d]` layouts the contiguous caches expose
-//! ([`BlockAllocator::gather_f32`] / [`BlockAllocator::gather_int8`]), so
-//! the attention entry points that walk a block table feed byte-identical
-//! operands to the same engine kernels — results are bit-identical across
-//! block sizes, thread counts, and vs. the contiguous path.
+//! Reads **gather** block contents in token order into flat `[t·d]`
+//! layouts ([`BlockAllocator::gather_f32`] /
+//! [`BlockAllocator::gather_int8`]) — byte for byte the K/V rows a
+//! full-sequence forward computes for the same prefix — so the attention
+//! entry points that walk a block table feed the engine kernels the
+//! operands of full recompute: decode is bit-identical to
+//! `forward_inference_with` for every block size and thread count.
 //!
 //! # Concurrency: the block pool
 //!
@@ -84,8 +86,7 @@
 //! fork.advance();
 //! assert_eq!(alloc.blocks_in_use(), 3); // CoW copy of the tail
 //!
-//! // Gathered reads are flat `[t·d]` slices, same layout as the
-//! // contiguous cache.
+//! // Gathered reads are flat `[t·d]` slices in token order.
 //! let mut k = Vec::new();
 //! let (mut v, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new());
 //! alloc.gather_int8(s.layer_blocks(0), 5, &mut k, &mut v, &mut ke, &mut ve);
@@ -96,10 +97,43 @@
 //! assert_eq!(alloc.blocks_in_use(), 0);
 //! ```
 
-use crate::kv_cache::quantize_int8_kv_row;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Quantizes one `d`-length KV row per head at the tightest covering
+/// power-of-two scale ([`apsq_quant::covering_pow2_exponent`]), writing i8
+/// codes into `codes` (`d` long) and one exponent per head into `exps`
+/// (`heads` long).
+///
+/// This is the **single** KV quantization recipe in the crate: the int8
+/// [`BlockAllocator`] and the int8 full-sequence forward
+/// (`Int8MultiHeadAttention::forward_inference_with`) both call it, so
+/// block-granular storage is byte-identical to the rows full recompute
+/// attends over by construction — the root of the paged ⇔ full-recompute
+/// bit-identity guarantee.
+///
+/// # Panics
+///
+/// Panics if a value is not finite.
+pub(crate) fn quantize_int8_kv_row(row: &[f32], heads: usize, codes: &mut [i8], exps: &mut [i8]) {
+    debug_assert_eq!(codes.len(), row.len());
+    debug_assert_eq!(exps.len(), heads);
+    let dh = row.len() / heads;
+    for h in 0..heads {
+        let slice = &row[h * dh..(h + 1) * dh];
+        let max_abs = slice.iter().fold(0.0f32, |m, &x| {
+            assert!(x.is_finite(), "non-finite KV value {x}");
+            m.max(x.abs())
+        });
+        let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
+        let scale = apsq_quant::pow2_f32(e);
+        exps[h] = e as i8;
+        for (c, &x) in codes[h * dh..(h + 1) * dh].iter_mut().zip(slice) {
+            *c = apsq_tensor::Int8Tensor::quantize_one(x, scale);
+        }
+    }
+}
 
 /// Index of one fixed-size KV block inside a [`BlockAllocator`].
 pub type BlockId = u32;
@@ -218,7 +252,7 @@ impl BlockAllocator {
     /// An int8 allocator holding as many `block_tokens`-token blocks of
     /// width `width` / `heads` heads as fit in `budget_bytes`. Rows are
     /// quantized per head at the tightest covering power-of-two scale —
-    /// the exact recipe of [`crate::Int8AttentionKvCache::append_row`].
+    /// the recipe the int8 full-sequence forward quantizes its K/V with.
     ///
     /// # Panics
     ///
@@ -530,11 +564,9 @@ impl BlockAllocator {
     }
 
     /// Gathers `len` f32 K and V rows from a block table in token order
-    /// into flat `[len · d]` buffers — byte-identical to what
-    /// [`crate::AttentionKvCache::keys_data`] /
-    /// [`crate::AttentionKvCache::values_data`] would hold after the same
-    /// appends, which is what makes paged attention bit-identical to the
-    /// contiguous path.
+    /// into flat `[len · d]` buffers — byte-identical to the rows as
+    /// appended, which is what makes paged attention bit-identical to
+    /// full-sequence recompute.
     ///
     /// # Panics
     ///
@@ -574,9 +606,8 @@ impl BlockAllocator {
     }
 
     /// Gathers `len` int8 K/V code rows and per-(token, head) exponents
-    /// from a block table in token order into the flat layouts of
-    /// [`crate::Int8AttentionKvCache`] (`[len · d]` codes, `[len · heads]`
-    /// exponents).
+    /// from a block table in token order into flat layouts (`[len · d]`
+    /// codes, `[len · heads]` exponents).
     ///
     /// # Panics
     ///
@@ -864,8 +895,8 @@ impl BlockPool {
 }
 
 /// One session's paged KV state: a block table per decoder layer plus the
-/// decode position, replacing the contiguous
-/// [`crate::DecoderKvState`]/[`crate::Int8DecoderKvState`] buffers.
+/// decode position — the decode state of both [`crate::DecoderLm`] and
+/// [`crate::Int8DecoderLm`].
 ///
 /// The state does not own its blocks — every mutation takes the shared
 /// [`BlockAllocator`]. Callers must [`Self::release`] before dropping a
@@ -1054,44 +1085,68 @@ mod tests {
     }
 
     #[test]
-    fn paged_f32_gather_matches_contiguous_cache() {
+    fn paged_f32_gather_returns_the_appended_rows() {
         let d = 8;
         let mut a = BlockAllocator::f32(1 << 16, 3, d);
         let mut s = PagedKvState::for_layers(1);
-        let mut c = crate::AttentionKvCache::new();
+        let (mut want_k, mut want_v) = (Vec::new(), Vec::new());
         for i in 0..7 {
             let (k, v) = (row(i as f32, d), row(-(i as f32), d));
             s.append_row(0, &mut a, &k, &v);
             s.advance();
-            c.append_row(&k, &v);
+            want_k.extend_from_slice(&k);
+            want_v.extend_from_slice(&v);
         }
         let (mut gk, mut gv) = (Vec::new(), Vec::new());
         a.gather_f32(s.layer_blocks(0), 7, &mut gk, &mut gv);
-        assert_eq!(gk, c.keys_data());
-        assert_eq!(gv, c.values_data());
+        assert_eq!(gk, want_k);
+        assert_eq!(gv, want_v);
         // 7 tokens at 3-token blocks = 3 blocks, 2 slack slots.
         assert_eq!(s.layer_blocks(0).len(), 3);
         assert!((a.utilization() - 7.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
-    fn paged_int8_gather_is_byte_identical_to_contiguous_cache() {
+    fn paged_int8_gather_is_byte_identical_to_quantized_rows() {
         let (d, h) = (8, 2);
         let mut a = BlockAllocator::int8(1 << 16, 4, d, h);
         let mut s = PagedKvState::for_layers(1);
-        let mut c = crate::Int8AttentionKvCache::new(d, h);
+        let (mut want_kc, mut want_vc) = (vec![0i8; 9 * d], vec![0i8; 9 * d]);
+        let (mut want_ke, mut want_ve) = (vec![0i8; 9 * h], vec![0i8; 9 * h]);
         for i in 0..9 {
             let (k, v) = (row(0.1 * i as f32, d), row(100.0 - i as f32, d));
             s.append_row(0, &mut a, &k, &v);
             s.advance();
-            c.append_row(&k, &v);
+            let (codes, exps) = (i * d..(i + 1) * d, i * h..(i + 1) * h);
+            quantize_int8_kv_row(
+                &k,
+                h,
+                &mut want_kc[codes.clone()],
+                &mut want_ke[exps.clone()],
+            );
+            quantize_int8_kv_row(&v, h, &mut want_vc[codes], &mut want_ve[exps]);
         }
         let (mut kc, mut vc, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         a.gather_int8(s.layer_blocks(0), 9, &mut kc, &mut vc, &mut ke, &mut ve);
-        assert_eq!(kc, c.keys_codes());
-        assert_eq!(vc, c.values_codes());
-        assert_eq!(ke, c.keys_exponents());
-        assert_eq!(ve, c.values_exponents());
+        assert_eq!(kc, want_kc);
+        assert_eq!(vc, want_vc);
+        assert_eq!(ke, want_ke);
+        assert_eq!(ve, want_ve);
+    }
+
+    #[test]
+    fn int8_kv_row_quantizes_per_head() {
+        // Head 0 small magnitudes, head 1 large: distinct per-head scales.
+        let src = [0.5f32, -1.0, 100.0, -200.0];
+        let (mut codes, mut exps) = ([0i8; 4], [0i8; 2]);
+        quantize_int8_kv_row(&src, 2, &mut codes, &mut exps);
+        assert!(exps[0] < exps[1], "head scales should differ: {exps:?}");
+        // Dequantized codes sit within half a step of the source per head,
+        // and covering scales never clip.
+        for (j, (&c, &want)) in codes.iter().zip(&src).enumerate() {
+            let scale = apsq_quant::pow2_f32(exps[j / 2] as i32);
+            assert!((c as f32 * scale - want).abs() <= scale * 0.5, "lane {j}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Property tests for the KV-cache decode path: incremental decoding must
+//! Property tests for the paged KV decode path: incremental decoding must
 //! be **bit-identical** to a full-sequence recompute, and batched decoding
 //! must be bit-identical to decoding each sequence alone — for random
-//! shapes, head counts, depths, engines, and APSQ group sizes.
+//! shapes, head counts, depths, block sizes, engines, and APSQ group
+//! sizes.
 //!
 //! Both properties rest on the same invariant: every engine kernel reduces
 //! each output element in a fixed K order independent of how rows are
@@ -11,9 +12,9 @@
 //! returned stale rows, or a kernel whose reduction order depended on M
 //! would all break these assertions.
 
-use apsq_nn::{DecoderLm, ModelConfig, PsumMode};
+use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, ModelConfig, PsumMode};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Tensor};
+use apsq_tensor::ExecEngine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,11 +63,21 @@ fn psum_mode(apsq: bool, gs: usize, k_tile: usize) -> PsumMode {
     }
 }
 
+/// An f32 block pool with room for `sessions` sequences of `len` tokens.
+fn f32_pool(m: &DecoderLm, block_tokens: usize, len: usize, sessions: usize) -> BlockPool {
+    let blocks = sessions * m.num_layers() * len.div_ceil(block_tokens);
+    BlockPool::new(BlockAllocator::f32(
+        blocks * BlockAllocator::f32_bytes_per_block(block_tokens, m.width()),
+        block_tokens,
+        m.width(),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Feeding a sequence token-by-token through the KV cache yields, at
-    /// every step, exactly the bits the full-sequence inference forward
+    /// Feeding a sequence token-by-token through a paged KV state yields,
+    /// at every step, exactly the bits the full-sequence inference forward
     /// computes for that position.
     #[test]
     fn incremental_decode_is_bit_identical_to_full_recompute(
@@ -77,14 +88,16 @@ proptest! {
         apsq in any::<bool>(),
         gs in 1usize..5,
         k_tile in 2usize..9,
+        block_tokens in 1usize..9,
     ) {
         let (m, cfg) = primed_model(seed, heads, layers, psum_mode(apsq, gs, k_tile));
         let ids = random_ids(seed, len, cfg.vocab);
         let eng = ExecEngine::serial();
         let full = m.forward_inference_with(&ids, &eng);
-        let mut state = m.new_kv_state_with_capacity();
+        let pool = f32_pool(&m, block_tokens, len, 1);
+        let mut state = m.new_paged_state();
         for (t, &tok) in ids.iter().enumerate() {
-            let step = m.decode_step_with(tok, &mut state, &eng);
+            let step = m.decode_batch_paged_with(&[tok], &mut [&mut state], &pool, &eng);
             prop_assert_eq!(step.dims(), &[1, cfg.vocab]);
             for j in 0..cfg.vocab {
                 let f = full.at(&[t, j]);
@@ -95,7 +108,7 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(state.position, ids.len());
+        prop_assert_eq!(state.position(), ids.len());
     }
 
     /// A batched decode step returns, in row `b`, exactly the bits that
@@ -110,29 +123,33 @@ proptest! {
         apsq in any::<bool>(),
         gs in 1usize..5,
         threads in 1usize..5,
+        block_tokens in 1usize..6,
     ) {
         let (m, cfg) = primed_model(seed, heads, 2, psum_mode(apsq, gs, 8));
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let serial = ExecEngine::serial();
+        // Room for every batched and lone session at its longest history.
+        let pool = f32_pool(&m, block_tokens, 2 + steps, 2 * batch);
 
         // Give each sequence a distinct history length by pre-decoding
         // `b % 3` extra tokens, then run `steps` batched rounds.
-        let mut batched: Vec<_> = (0..batch).map(|_| m.new_kv_state_with_capacity()).collect();
-        let mut lone: Vec<_> = (0..batch).map(|_| m.new_kv_state_with_capacity()).collect();
+        let mut batched: Vec<_> = (0..batch).map(|_| m.new_paged_state()).collect();
+        let mut lone: Vec<_> = (0..batch).map(|_| m.new_paged_state()).collect();
         for b in 0..batch {
-            for (t, &tok) in random_ids(seed ^ b as u64, b % 3, cfg.vocab).iter().enumerate() {
-                let _ = m.decode_step_with(tok, &mut batched[b], &eng);
-                let _ = m.decode_step_with(tok, &mut lone[b], &serial);
-                let _ = t;
+            for &tok in &random_ids(seed ^ b as u64, b % 3, cfg.vocab) {
+                let _ = m.decode_batch_paged_with(&[tok], &mut [&mut batched[b]], &pool, &eng);
+                let _ = m.decode_batch_paged_with(&[tok], &mut [&mut lone[b]], &pool, &serial);
             }
         }
         for s in 0..steps {
             let tokens: Vec<usize> =
                 (0..batch).map(|b| (seed as usize + s * 7 + b * 3) % cfg.vocab).collect();
-            let out = m.decode_batch_with(&tokens, &mut batched, &eng);
+            let mut rows: Vec<_> = batched.iter_mut().collect();
+            let out = m.decode_batch_paged_with(&tokens, &mut rows, &pool, &eng);
             prop_assert_eq!(out.dims(), &[batch, cfg.vocab]);
             for b in 0..batch {
-                let alone = m.decode_step_with(tokens[b], &mut lone[b], &serial);
+                let alone =
+                    m.decode_batch_paged_with(&[tokens[b]], &mut [&mut lone[b]], &pool, &serial);
                 for j in 0..cfg.vocab {
                     prop_assert!(
                         out.at(&[b, j]).to_bits() == alone.at(&[0, j]).to_bits(),
@@ -141,38 +158,8 @@ proptest! {
                         alone.at(&[0, j])
                     );
                 }
-                prop_assert_eq!(batched[b].position, lone[b].position);
+                prop_assert_eq!(batched[b].position(), lone[b].position());
             }
         }
-    }
-
-    /// The Tensor-API `append` and the slice-API `append_row` build
-    /// identical caches, and the zero-copy accessors agree with the owned
-    /// tensors.
-    #[test]
-    fn cache_append_apis_agree(
-        width in 1usize..16,
-        rows in 1usize..20,
-        seed in any::<u64>(),
-    ) {
-        use apsq_nn::AttentionKvCache;
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = AttentionKvCache::new();
-        let mut b = AttentionKvCache::with_capacity(width, rows);
-        for _ in 0..rows {
-            let k: Vec<f32> = (0..width).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-            let v: Vec<f32> = (0..width).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-            a.append(
-                &Tensor::from_vec(k.clone(), [1, width]),
-                &Tensor::from_vec(v.clone(), [1, width]),
-            );
-            b.append_row(&k, &v);
-        }
-        prop_assert_eq!(a.len(), b.len());
-        prop_assert_eq!(a.keys_data(), b.keys_data());
-        prop_assert_eq!(a.values_data(), b.values_data());
-        prop_assert_eq!(a.keys(), b.keys());
-        prop_assert_eq!(a.values().data(), b.values_data());
     }
 }

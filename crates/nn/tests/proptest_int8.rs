@@ -14,11 +14,11 @@
 //! reduction-order dependence breaks these assertions.
 
 use apsq_nn::{
-    AttentionKvCache, DecoderLm, Int8AttentionKvCache, Int8DecoderLm, Int8Linear,
-    Int8MultiHeadAttention, ModelConfig, MultiHeadAttention, PsumMode, QuantLinear,
+    BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, Int8Linear, Int8MultiHeadAttention,
+    ModelConfig, MultiHeadAttention, PagedKvState, PsumMode, QuantLinear,
 };
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Tensor};
+use apsq_tensor::{ExecEngine, Int8Tensor, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,76 +107,70 @@ proptest! {
         }
     }
 
-    /// The int8 KV cache's growth and quantization invariants: the width
-    /// is locked, `T` appends reallocate O(log T) times, preallocated
-    /// caches never reallocate within their bound, and dequantizing the
-    /// zero-copy code buffers reproduces every appended row within half a
-    /// quantization step of its per-(token, head) covering scale — while
-    /// requantizing the dequantized view is exactly lossless (the codes
-    /// sit on their own lattice).
+    /// The int8 KV pool's quantization round trip: codes and exponents
+    /// gathered from the block table dequantize to within half a step of
+    /// every appended row's per-(token, head) covering scale, stay in the
+    /// i8 range, and sit on their scale's lattice (requantizing the
+    /// dequantized value at the same scale is exactly lossless).
     #[test]
-    fn int8_kv_cache_growth_and_roundtrip_invariants(
+    fn int8_kv_pool_roundtrip_invariants(
         seed in any::<u64>(),
         heads in 1usize..5,
         dh in 1usize..9,
         rows in 1usize..48,
+        block_tokens in 1usize..9,
         magnitude in 0.01f32..100.0,
     ) {
         let width = heads * dh;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut grown = Int8AttentionKvCache::new(width, heads);
-        let mut fixed = Int8AttentionKvCache::with_capacity(width, heads, rows);
-        let fixed_cap = fixed.capacity_rows();
-        let mut reallocs = 0usize;
-        let mut last_cap = grown.capacity_rows();
+        let pool = BlockPool::new(BlockAllocator::int8(
+            rows.div_ceil(block_tokens)
+                * BlockAllocator::int8_bytes_per_block(block_tokens, width, heads),
+            block_tokens,
+            width,
+            heads,
+        ));
+        let mut state = PagedKvState::for_layers(1);
         let mut appended: Vec<Vec<f32>> = Vec::new();
         for _ in 0..rows {
             let k = apsq_tensor::randn([1, width], magnitude, &mut rng);
             let v = apsq_tensor::randn([1, width], magnitude, &mut rng);
-            grown.append_row(k.data(), v.data());
-            fixed.append_row(k.data(), v.data());
-            if grown.capacity_rows() != last_cap {
-                reallocs += 1;
-                last_cap = grown.capacity_rows();
-            }
+            state.append_row(0, &mut pool.lock(), k.data(), v.data());
+            state.advance();
             appended.push(k.data().to_vec());
         }
-        // O(log T) growth; preallocation eliminates growth entirely.
-        prop_assert!(
-            reallocs <= 2 + rows.ilog2() as usize + 1,
-            "{reallocs} reallocations for {rows} appends"
-        );
-        prop_assert_eq!(fixed.capacity_rows(), fixed_cap, "preallocated cache reallocated");
-        prop_assert_eq!(grown.len(), rows);
-        prop_assert_eq!(grown.keys_codes().len(), rows * width);
-        prop_assert_eq!(grown.keys_exponents().len(), rows * heads);
+        let (mut kc, mut vc, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        pool.gather_int8(state.layer_blocks(0), rows, &mut kc, &mut vc, &mut ke, &mut ve);
+        prop_assert_eq!(kc.len(), rows * width);
+        prop_assert_eq!(ke.len(), rows * heads);
 
-        let deq = grown.dequant_keys();
-        prop_assert_eq!(deq.dims(), &[rows, width]);
         for (t, row) in appended.iter().enumerate() {
             for h in 0..heads {
-                let e = grown.keys_exponents()[t * heads + h] as f32;
-                let scale = e.exp2();
+                let scale = (ke[t * heads + h] as f32).exp2();
                 for j in 0..dh {
                     let idx = t * width + h * dh + j;
                     let src = row[h * dh + j];
-                    // Zero-copy codes dequantize to the stored view...
-                    let code = grown.keys_codes()[idx] as f32;
-                    prop_assert_eq!(deq.data()[idx], code * scale);
-                    // ...which sits within half a step of the source row.
+                    let code = kc[idx];
+                    let deq = code as f32 * scale;
+                    // The dequantized code sits within half a step of the
+                    // source row...
                     prop_assert!(
-                        (deq.data()[idx] - src).abs() <= scale * 0.5 + 1e-6,
-                        "row {t} head {h} lane {j}: {} vs {}", deq.data()[idx], src
+                        (deq - src).abs() <= scale * 0.5 + 1e-6,
+                        "row {t} head {h} lane {j}: {} vs {}", deq, src
                     );
+                    // ...on its scale's lattice: requantizing is lossless.
+                    prop_assert_eq!(Int8Tensor::quantize_one(deq, scale), code);
                     // Covering scale: codes never saturate past the range.
-                    prop_assert!((-128.0..=127.0).contains(&code));
+                    prop_assert!((-128.0..=127.0).contains(&(code as f32)));
                 }
             }
         }
+        state.release(&mut pool.lock());
     }
 
-    /// The integer attention decode tracks the f32 fake-quant attention
-    /// reference within a bounded relative error — the KV quantization
+    /// The integer paged attention decode tracks the f32 fake-quant paged
+    /// attention reference within a bounded relative error — the KV
+    /// quantization
     /// (per-row pow2 K/V scales, frozen Q scale, requantized P, APSQ
     /// folds) adds noise but can never drift unboundedly.
     #[test]
@@ -198,12 +192,26 @@ proptest! {
         let eng = ExecEngine::serial();
         let iattn = Int8MultiHeadAttention::from_float(&attn, &prime, &eng);
 
-        let mut f32_cache = AttentionKvCache::with_capacity(d, 16);
-        let mut i8_cache = Int8AttentionKvCache::with_capacity(d, heads, 16);
+        let f32_pool = BlockPool::new(BlockAllocator::f32(
+            BlockAllocator::f32_bytes_per_block(steps, d),
+            steps,
+            d,
+        ));
+        let i8_pool = BlockPool::new(BlockAllocator::int8(
+            BlockAllocator::int8_bytes_per_block(steps, d, heads),
+            steps,
+            d,
+            heads,
+        ));
+        let (mut f32_state, mut i8_state) = (PagedKvState::for_layers(1), PagedKvState::for_layers(1));
         for step in 0..steps {
             let x = apsq_tensor::randn([1, d], 1.0, &mut rng);
-            let want = attn.forward_decode_batch_with(&x, &mut [&mut f32_cache], &eng);
-            let got = iattn.forward_decode_batch_with(&x, &mut [&mut i8_cache], &eng);
+            let want =
+                attn.forward_decode_batch_paged_with(&x, 0, &f32_pool, &mut [&mut f32_state], &eng);
+            let got =
+                iattn.forward_decode_batch_paged_with(&x, 0, &i8_pool, &mut [&mut i8_state], &eng);
+            f32_state.advance();
+            i8_state.advance();
             // Softmax-averaged context rows can nearly cancel, so
             // normalize by the activation scale as well as the output
             // norm — the bound still catches any scale or schedule bug
@@ -246,15 +254,23 @@ proptest! {
 
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let serial = ExecEngine::serial();
-        let mut batched: Vec<_> = (0..batch).map(|_| im.new_kv_state_with_capacity()).collect();
-        let mut lone: Vec<_> = (0..batch).map(|_| im.new_kv_state_with_capacity()).collect();
+        let pool = BlockPool::new(BlockAllocator::int8(
+            2 * batch * im.num_layers() * BlockAllocator::int8_bytes_per_block(steps, im.width(), im.heads()),
+            steps,
+            im.width(),
+            im.heads(),
+        ));
+        let mut batched: Vec<_> = (0..batch).map(|_| im.new_paged_state()).collect();
+        let mut lone: Vec<_> = (0..batch).map(|_| im.new_paged_state()).collect();
         for s in 0..steps {
             let tokens: Vec<usize> =
                 (0..batch).map(|b| (seed as usize + s * 7 + b * 3) % cfg.vocab).collect();
-            let out = im.decode_batch_with(&tokens, &mut batched, &eng);
+            let mut rows: Vec<_> = batched.iter_mut().collect();
+            let out = im.decode_batch_paged_with(&tokens, &mut rows, &pool, &eng);
             prop_assert_eq!(out.dims(), &[batch, cfg.vocab]);
             for b in 0..batch {
-                let alone = im.decode_step_with(tokens[b], &mut lone[b], &serial);
+                let alone =
+                    im.decode_batch_paged_with(&[tokens[b]], &mut [&mut lone[b]], &pool, &serial);
                 for j in 0..cfg.vocab {
                     prop_assert!(
                         out.at(&[b, j]).to_bits() == alone.at(&[0, j]).to_bits(),

@@ -1,16 +1,17 @@
 //! Property tests for the paged KV datapath: decoding through
-//! [`BlockAllocator`] block tables must be **bit-identical** to the
-//! contiguous per-session caches — for random shapes, block sizes,
-//! engine thread counts, and both precisions — and a copy-on-write fork
-//! must be bit-identical to an independent session replaying the same
-//! tokens.
+//! [`BlockAllocator`] block tables must be **bit-identical** to
+//! full-sequence recompute (`forward_inference_with`) — for random
+//! shapes, block sizes, engine thread counts, and both precisions — and a
+//! copy-on-write fork must be bit-identical to full recompute of the
+//! token stream it replays.
 //!
 //! The invariant: a block-table gather reconstructs byte-for-byte the
-//! flat `[t, d]` operand layouts the contiguous caches expose, and the
-//! int8 paged store quantizes appends through the same per-(token, head)
-//! covering-scale recipe as `Int8AttentionKvCache`. A gather that
-//! reordered tokens, a block boundary that split a reduction, or a CoW
-//! copy that dropped filled rows would all break these assertions.
+//! flat `[t, d]` K/V rows the full forward computes for the same prefix,
+//! and the int8 paged store quantizes appends through the same
+//! per-(token, head) covering-scale recipe the int8 full forward uses. A
+//! gather that reordered tokens, a block boundary that split a reduction,
+//! or a CoW copy that dropped filled rows would all break these
+//! assertions.
 
 use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, ModelConfig, PsumMode};
 use apsq_quant::Bitwidth;
@@ -63,6 +64,19 @@ fn psum_mode(apsq: bool, gs: usize, k_tile: usize) -> PsumMode {
     }
 }
 
+/// Asserts `step` (`[1, vocab]`) equals row `t` of `full` bit for bit.
+fn assert_row_bits(step: &Tensor, full: &Tensor, t: usize) {
+    let vocab = full.dims()[1];
+    assert_eq!(step.dims(), &[1, vocab]);
+    for j in 0..vocab {
+        let (f, d) = (full.at(&[t, j]), step.at(&[0, j]));
+        assert!(
+            f.to_bits() == d.to_bits(),
+            "step {t} logit {j}: full {f:?} != paged {d:?}"
+        );
+    }
+}
+
 /// An f32 block pool with room for `sessions` sequences of `len` tokens.
 fn f32_pool(m: &DecoderLm, block_tokens: usize, len: usize, sessions: usize) -> BlockPool {
     let blocks = sessions * m.num_layers() * len.div_ceil(block_tokens);
@@ -77,10 +91,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Decoding through f32 block tables yields, at every step, exactly
-    /// the bits the contiguous-cache decode produces — for every block
-    /// size and thread count.
+    /// the bits full-sequence recompute produces for that position — for
+    /// every block size and thread count.
     #[test]
-    fn f32_paged_decode_is_bit_identical_to_contiguous(
+    fn f32_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
         layers in 1usize..3,
@@ -92,15 +106,14 @@ proptest! {
     ) {
         let (m, cfg) = primed_model(seed, heads, layers, psum_mode(apsq, gs, 8));
         let ids = random_ids(seed, len, cfg.vocab);
+        let full = m.forward_inference_with(&ids, &ExecEngine::serial());
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
 
-        let mut cont = m.new_kv_state_with_capacity();
         let pool = f32_pool(&m, block_tokens, len, 1);
         let mut paged = m.new_paged_state();
-        for &tok in &ids {
-            let want = m.decode_step_with(tok, &mut cont, &eng);
+        for (t, &tok) in ids.iter().enumerate() {
             let got = m.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
-            prop_assert_eq!(&got, &want, "token {tok}");
+            assert_row_bits(&got, &full, t);
         }
         prop_assert_eq!(paged.position(), ids.len());
         let mut alloc = pool.lock();
@@ -109,12 +122,12 @@ proptest! {
         prop_assert_eq!(alloc.blocks_in_use(), 0);
     }
 
-    /// The int8 paged datapath reproduces the contiguous int8 decode bit
-    /// for bit: block storage quantizes appends through the same
-    /// covering-scale recipe, so the gathered codes and exponents are
-    /// byte-identical.
+    /// The int8 paged datapath reproduces the int8 full-sequence forward
+    /// bit for bit at every step: block storage quantizes appends through
+    /// the full forward's covering-scale recipe, so the gathered codes and
+    /// exponents are the ones full recompute attends over.
     #[test]
-    fn int8_paged_decode_is_bit_identical_to_contiguous(
+    fn int8_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
         len in 2usize..8,
@@ -127,9 +140,9 @@ proptest! {
         let ids = random_ids(seed, len, cfg.vocab);
         let eng = ExecEngine::serial();
         let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
+        let full = im.forward_inference_with(&ids, &eng);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
 
-        let mut cont = im.new_kv_state_with_capacity();
         let blocks = im.num_layers() * len.div_ceil(block_tokens);
         let pool = BlockPool::new(BlockAllocator::int8(
             blocks * BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads()),
@@ -138,10 +151,9 @@ proptest! {
             im.heads(),
         ));
         let mut paged = im.new_paged_state();
-        for &tok in &ids {
-            let want = im.decode_step_with(tok, &mut cont, &eng);
+        for (t, &tok) in ids.iter().enumerate() {
             let got = im.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
-            prop_assert_eq!(&got, &want, "token {tok}");
+            assert_row_bits(&got, &full, t);
         }
         let mut alloc = pool.lock();
         paged.release(&mut alloc);
@@ -150,8 +162,8 @@ proptest! {
 
     /// Forking a session after a shared prefix (zero-copy, refcounted
     /// blocks) and decoding divergent suffixes through copy-on-write is
-    /// bit-identical to two independent sessions replaying the same token
-    /// streams from scratch.
+    /// bit-identical to full-sequence recompute of each prefix + suffix
+    /// token stream.
     #[test]
     fn cow_fork_is_bit_identical_to_independent_session(
         seed in any::<u64>(),
@@ -168,15 +180,11 @@ proptest! {
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let total = prefix_len + suffix_len;
 
-        // Independent reference sessions, each replaying prefix + suffix.
+        // Full recompute of each prefix + suffix stream, last position.
         let mut refs = Vec::new();
         for sfx in [&sfx_a, &sfx_b] {
-            let mut st = m.new_kv_state_with_capacity();
-            let mut last = Tensor::zeros([1, 1]);
-            for &tok in prefix.iter().chain(sfx.iter()) {
-                last = m.decode_step_with(tok, &mut st, &eng);
-            }
-            refs.push(last);
+            let ids: Vec<usize> = prefix.iter().chain(sfx.iter()).copied().collect();
+            refs.push(m.forward_inference_with(&ids, &ExecEngine::serial()));
         }
 
         // Paged: decode the prefix once, fork, decode both suffixes.
@@ -196,8 +204,8 @@ proptest! {
             last_a = m.decode_batch_paged_with(&[sfx_a[i]], &mut [&mut sess_a], &pool, &eng);
             last_b = m.decode_batch_paged_with(&[sfx_b[i]], &mut [&mut sess_b], &pool, &eng);
         }
-        prop_assert_eq!(&last_a, &refs[0], "forked session A diverged");
-        prop_assert_eq!(&last_b, &refs[1], "forked session B diverged");
+        assert_row_bits(&last_a, &refs[0], total - 1);
+        assert_row_bits(&last_b, &refs[1], total - 1);
 
         // Two independent sessions would hold 2·⌈total/bt⌉ blocks per
         // layer; the forked pair still shares every full prefix block.

@@ -38,11 +38,12 @@ pub enum Lane {
 
 /// A queued request with its dispatch-order key.
 #[derive(Clone, Debug)]
-struct Queued {
+pub(crate) struct Queued {
     /// `(priority rank, deadline or MAX, arrival seq)` — lanes stay
     /// sorted ascending by this key.
     key: (u8, u64, u64),
-    p: Pending,
+    /// The request.
+    pub(crate) p: Pending,
 }
 
 /// Lane queues plus the dispatch policy.
@@ -277,10 +278,32 @@ impl Batcher {
     /// dispatch order — the scheduler uses this to spread prefill work
     /// across idle workers instead of coalescing maximally.
     pub fn take_up_to(&mut self, lane: Lane, limit: usize) -> Vec<Pending> {
+        self.take_keyed(lane, limit)
+            .into_iter()
+            .map(|item| item.p)
+            .collect()
+    }
+
+    /// [`Self::take_up_to`] keeping each request's dispatch-order key, so
+    /// a request the scheduler cannot serve yet can go back through
+    /// [`Self::requeue`] exactly where it was.
+    pub(crate) fn take_keyed(&mut self, lane: Lane, limit: usize) -> Vec<Queued> {
         let max = self.policy.max_batch.min(limit).max(1);
         let q = self.lane_mut(lane);
         let n = q.len().min(max);
-        q.drain(..n).map(|item| item.p).collect()
+        q.drain(..n).collect()
+    }
+
+    /// Returns a decode request taken by [`Self::take_keyed`] to the decode
+    /// lane under its original key. Its session keeps its queued slot, so
+    /// held-back successors stay behind it: EDF and per-session FIFO order
+    /// are as if it had never been taken.
+    pub(crate) fn requeue(&mut self, item: Queued) {
+        debug_assert!(
+            item.p.req.session().is_some(),
+            "requeue of a prefill request"
+        );
+        Self::insert(&mut self.decode, item);
     }
 
     fn lane(&self, lane: Lane) -> &Vec<Queued> {
@@ -371,6 +394,27 @@ mod tests {
         b.on_session_done(9);
         b.on_session_done(7);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn requeued_request_keeps_its_dispatch_position_and_session_slot() {
+        let mut b = batcher(8, Duration::ZERO);
+        b.push(pending(Request::decode(1, 7, 0)));
+        b.push(pending(Request::decode(2, 7, 1))); // held behind id 1
+        b.push(pending(Request::decode(3, 9, 0)));
+        let mut taken = b.take_keyed(Lane::Decode, 8);
+        assert_eq!(taken.len(), 2);
+        let first = taken.remove(0);
+        assert_eq!(first.p.req.id, 1);
+        // A later arrival must not overtake the requeued request.
+        b.push(pending(Request::decode(4, 11, 0)));
+        b.requeue(first);
+        let order: Vec<_> = b.take(Lane::Decode).iter().map(|p| p.req.id).collect();
+        assert_eq!(order, vec![1, 4]);
+        // Session 7's successor stayed held the whole time.
+        assert_eq!(b.depth(), 1);
+        b.on_session_done(7);
+        assert_eq!(b.take(Lane::Decode)[0].req.id, 2);
     }
 
     #[test]

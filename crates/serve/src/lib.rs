@@ -30,7 +30,7 @@
 //! size limit, and batching decision**: the engine reduces each output
 //! element in a fixed order independent of the batch partition, so row `b`
 //! of a coalesced decode GEMM equals the batch-size-1 result exactly (see
-//! `DecoderLm::decode_batch_with`), and prefill requests execute
+//! `DecoderLm::decode_batch_paged_with`), and prefill requests execute
 //! independently inside a coalesced task. Scheduling changes *when* a
 //! request runs and *with whom* — never what it returns. Paged attention
 //! gathers a session's blocks back into flat token order before reducing,
@@ -44,7 +44,11 @@
 //! [`ServeError::SessionEvicted`]) is the one timing-coupled outcome —
 //! and it is always a *typed error*, never a silently different payload
 //! (an evicted session's id is tombstoned, so its context can never
-//! silently restart from scratch). Closed-loop workloads sized within the
+//! silently restart from scratch). A decode step whose KV reservation is
+//! refused while other work is in flight is not shed: it waits in the
+//! batcher, in place, until that work completes and returns or
+//! de-duplicates its blocks, so a capacity shed is decided against a pool
+//! with nothing in flight. Closed-loop workloads sized within the
 //! configured budgets (as the [`LoadGenerator`] is) never shed at all.
 //!
 //! # Overload: SLOs, virtual time, and graceful degradation

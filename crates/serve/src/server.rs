@@ -594,6 +594,10 @@ fn scheduler_loop(
     // Blocks promised to dispatched-but-uncompleted decode batches; new
     // reservations must leave room for these.
     let mut reserved_outstanding = 0usize;
+    // Set when a decode reservation failed while work was in flight: the
+    // request went back to the batcher, and the decode lane waits for the
+    // next completion to return or de-duplicate blocks before retrying.
+    let mut capacity_wait = false;
     let mut draining = false;
     // Virtual-time state: the lockstep clock, the degradation-ladder
     // level with its hysteresis streaks, and the ack deferred until the
@@ -649,7 +653,15 @@ fn scheduler_loop(
             // lint: allow(wall-clock-in-scheduling) -- wall-clock-mode-only branch (guarded by !virtual_mode); virtual-time dispatch happens in the Tick handler
             #[allow(clippy::disallowed_methods)]
             let now = Instant::now();
-            let Some(lane) = batcher.next_lane(now, draining) else {
+            let lane = if capacity_wait {
+                // Decode waits for a completion; prefill needs no blocks.
+                batcher
+                    .dispatchable(Lane::Prefill, now, draining)
+                    .then_some(Lane::Prefill)
+            } else {
+                batcher.next_lane(now, draining)
+            };
+            let Some(lane) = lane else {
                 break;
             };
             // Prefill requests execute independently even when coalesced,
@@ -677,63 +689,64 @@ fn scheduler_loop(
             // GEMM, so occupancy is pure win. Each item's KV block demand
             // is reserved before checkout: the reservation reclaims
             // unreferenced prefix blocks and LRU-evicts idle sessions
-            // under pressure, and sheds the item when even that fails —
-            // so a dispatched batch can never exhaust the pool mid-step.
-            let items = batcher.take(lane);
-            let work = match lane {
-                Lane::Decode => {
-                    let mut batch = Vec::with_capacity(items.len());
-                    let mut states = Vec::with_capacity(items.len());
-                    let mut batch_reserved = 0usize;
-                    for p in items {
-                        let session = p.req.session().expect("decode lane request has a session");
-                        let position = sessions.position(session);
-                        if position >= max_len {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            metrics.record_shed(ShedCause::ContextOverflow);
-                            respond(
-                                &mut metrics,
-                                p,
-                                Err(ServeError::ContextOverflow {
-                                    session,
-                                    position,
-                                    max_len,
-                                }),
-                                0,
-                                Lane::Decode,
-                                vnow,
-                            );
-                            sessions.release(session);
-                            batcher.on_session_done(session);
+            // under pressure, so a dispatched batch can never exhaust the
+            // pool mid-step. A reservation that still fails while other
+            // work is in flight (or co-batched) is not final: that work
+            // returns blocks or de-duplicates them when it completes, so
+            // the item goes back to the batcher until then. Only a
+            // reservation that fails with nothing in flight is shed —
+            // whether a request is served never depends on thread timing.
+            let mut batch = Vec::new();
+            let mut states = Vec::new();
+            let mut batch_reserved = 0usize;
+            for item in batcher.take_keyed(Lane::Decode, usize::MAX) {
+                let session = item
+                    .p
+                    .req
+                    .session()
+                    .expect("decode lane request has a session");
+                let position = sessions.position(session);
+                let refusal = if position >= max_len {
+                    metrics.record_shed(ShedCause::ContextOverflow);
+                    ServeError::ContextOverflow {
+                        session,
+                        position,
+                        max_len,
+                    }
+                } else {
+                    match sessions.reserve(session, reserved_outstanding + batch_reserved) {
+                        Ok(blocks) => {
+                            batch_reserved += blocks;
+                            states.push((session, sessions.checkout(session)));
+                            batch.push(item.p);
                             continue;
                         }
-                        match sessions.reserve(session, reserved_outstanding + batch_reserved) {
-                            Ok(blocks) => batch_reserved += blocks,
-                            Err(e) => {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::SessionCapacity);
-                                respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
+                        Err(_) if inflight > 0 || !batch.is_empty() => {
+                            batcher.requeue(item);
+                            capacity_wait = true;
+                            continue;
                         }
-                        states.push((session, sessions.checkout(session)));
-                        batch.push(p);
+                        Err(e) => {
+                            metrics.record_shed(ShedCause::SessionCapacity);
+                            e
+                        }
                     }
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    reserved_outstanding += batch_reserved;
-                    shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-                    metrics.record_batch(batch.len());
-                    WorkItem::Decode {
-                        items: batch,
-                        states,
-                        reserved: batch_reserved,
-                    }
-                }
-                Lane::Prefill => unreachable!("prefill dispatches through the spread loop"),
+                };
+                shared.depth.fetch_sub(1, Ordering::Relaxed);
+                respond(&mut metrics, item.p, Err(refusal), 0, Lane::Decode, vnow);
+                sessions.release(session);
+                batcher.on_session_done(session);
+            }
+            if batch.is_empty() {
+                continue;
+            }
+            reserved_outstanding += batch_reserved;
+            shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
+            metrics.record_batch(batch.len());
+            let work = WorkItem::Decode {
+                items: batch,
+                states,
+                reserved: batch_reserved,
             };
             idle -= 1;
             inflight += 1;
@@ -753,7 +766,10 @@ fn scheduler_loop(
                 Ok(e) => Some(e),
                 Err(_) => break,
             }
-        } else if idle > 0 {
+        } else if idle > 0 && !capacity_wait {
+            // (While decode waits on capacity, its head may already be past
+            // its coalescing deadline; sleep until the completion instead
+            // of spinning on it.)
             match batcher.next_deadline() {
                 Some(deadline) => {
                     // lint: allow(wall-clock-in-scheduling) -- wall-clock-mode sleep bound: converts the coalescing deadline into a channel timeout; virtual mode never sets one
@@ -799,6 +815,7 @@ fn scheduler_loop(
                 Event::Done(done) => {
                     idle += 1;
                     inflight -= 1;
+                    capacity_wait = false;
                     reserved_outstanding -= done.reserved;
                     for (sid, st) in done.states {
                         sessions.checkin(sid, st);
@@ -1326,30 +1343,40 @@ mod tests {
         assert_eq!(snap.completed, 2);
     }
 
-    #[test]
-    fn session_capacity_rejection_reaches_the_client() {
+    /// A one-worker server whose byte budget holds exactly one
+    /// worst-case session (= 2 blocks at the 16-token block size: one per
+    /// layer), coalescing decode batches of two.
+    fn one_session_budget_cfg(max_wait: std::time::Duration) -> ServeConfig {
         let mut cfg = tiny_cfg();
-        // Byte budget sized to exactly one worst-case session (= 2 blocks
-        // at the 16-token block size: one per layer).
         cfg.kv_budget_bytes = cfg.model.kv_bytes_per_session(cfg.precision);
         cfg.workers = 1;
         cfg.batch = BatchPolicy {
-            max_batch: 64,
-            max_wait: std::time::Duration::from_secs(5),
+            max_batch: 2,
+            max_wait,
             continuous: false,
         };
-        let (server, rx) = Server::start(&cfg);
+        cfg
+    }
+
+    #[test]
+    fn session_capacity_rejection_reaches_the_client() {
+        let (server, rx) =
+            Server::start(&one_session_budget_cfg(std::time::Duration::from_secs(5)));
         let h = server.handle();
-        // Both sessions admit (admission is free), but the co-batched
-        // reservation for session 2 finds the pool promised away to
-        // session 1 and nothing evictable (both are pinned).
+        // Sessions 1 and 2 coalesce into one full batch (request 2 is
+        // held behind request 1). Session 1 takes both blocks; session
+        // 2's step waits for that batch, then finds the pool still full,
+        // nothing in flight and nothing evictable (session 1 is pinned by
+        // its queued request 2), and is shed with a typed error.
         h.submit(Request::decode(1, 1, 0)).unwrap();
-        h.submit(Request::decode(2, 2, 0)).unwrap();
-        let mut results: Vec<Response> = (0..2).map(|_| rx.recv().unwrap()).collect();
+        h.submit(Request::decode(2, 1, 1)).unwrap();
+        h.submit(Request::decode(3, 2, 0)).unwrap();
+        let mut results: Vec<Response> = (0..3).map(|_| rx.recv().unwrap()).collect();
         results.sort_by_key(|r| r.id);
         assert!(results[0].result.is_ok());
+        assert!(results[1].result.is_ok());
         assert!(matches!(
-            results[1].result,
+            results[2].result,
             Err(ServeError::SessionCapacity {
                 active: 2,
                 capacity: 1
@@ -1358,6 +1385,30 @@ mod tests {
         let snap = server.shutdown();
         assert_eq!(snap.shed_session_capacity, 1);
         assert_eq!(snap.blocks_capacity, 2);
+    }
+
+    #[test]
+    fn capacity_refusal_waits_for_outstanding_reservations_instead_of_shedding() {
+        let (server, rx) = Server::start(&one_session_budget_cfg(
+            std::time::Duration::from_millis(200),
+        ));
+        let h = server.handle();
+        // One batch: session 1 reserves the whole pool, so session 2's
+        // reservation fails while session 1's is outstanding. Shedding it
+        // then would make the outcome depend on timing; instead it waits
+        // for the batch to complete and is served (session 1, idle and
+        // unpinned by then, is evicted to make room).
+        h.submit(Request::decode(1, 1, 0)).unwrap();
+        h.submit(Request::decode(2, 2, 0)).unwrap();
+        let mut results: Vec<Response> = (0..2).map(|_| rx.recv().unwrap()).collect();
+        results.sort_by_key(|r| r.id);
+        for r in &results {
+            assert!(r.result.is_ok(), "request {}: {:?}", r.id, r.result);
+        }
+        let snap = server.shutdown();
+        assert_eq!(snap.shed_session_capacity, 0);
+        assert_eq!(snap.errors, 0);
+        assert_eq!(snap.evictions, 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! thread timing cannot touch it.
 
 use apsq_serve::{
-    BatchPolicy, LoadGenerator, Payload, Precision, Request, Scenario, ServeConfig, Server,
-    SloPolicy,
+    BatchPolicy, LoadGenerator, MetricsSnapshot, Payload, Precision, Request, Scenario,
+    ServeConfig, Server, SloPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,7 +97,7 @@ fn next_request(c: &mut Client, ci: usize, vocab: usize) -> Request {
 
 /// Runs the overcommit traffic against a virtual-time lockstep server
 /// and returns `(fingerprint, errors, snapshot)`.
-fn lockstep_run(precision: Precision) -> (u64, u64, apsq_serve::MetricsSnapshot) {
+fn lockstep_run(precision: Precision) -> (u64, u64, MetricsSnapshot) {
     let mut cfg = overcommit_cfg(precision);
     cfg.workers = 1;
     cfg.slo = SloPolicy::virtual_time(8, 1, cfg.queue_capacity);
@@ -155,15 +155,42 @@ fn wallclock_run(precision: Precision) -> apsq_serve::LoadReport {
     LoadGenerator::new(SEED, Scenario::shared_prefix_decode(CLIENTS, PREFIX, STEPS)).run(&cfg)
 }
 
+/// Per-cause shed counts of a run, so an error count names its cause.
+fn shed_causes(s: &MetricsSnapshot) -> String {
+    format!(
+        "queue {}, session capacity {}, context overflow {}, session evicted {} \
+         (evictions {}), deadline {}, degraded {}",
+        s.shed_queue,
+        s.shed_session_capacity,
+        s.shed_context_overflow,
+        s.shed_session_evicted,
+        s.evictions,
+        s.shed_deadline,
+        s.shed_degraded
+    )
+}
+
 fn stress(precision: Precision) {
     let wall = wallclock_run(precision);
     let (lock_fp, lock_errors, lock_snap) = lockstep_run(precision);
+    // Errors first: a shed request changes the fingerprint too, and the
+    // shed cause is the diagnosis, not the hash mismatch.
+    assert_eq!(
+        wall.errors,
+        0,
+        "{precision:?}: wall-clock run errored; sheds: {}",
+        shed_causes(&wall.snapshot)
+    );
+    assert_eq!(
+        lock_errors,
+        0,
+        "{precision:?}: lockstep run errored; sheds: {}",
+        shed_causes(&lock_snap)
+    );
     assert_eq!(
         wall.fingerprint, lock_fp,
         "{precision:?}: wall-clock concurrent decode diverged from the lockstep run"
     );
-    assert_eq!(wall.errors, 0, "{precision:?}: wall-clock run errored");
-    assert_eq!(lock_errors, 0, "{precision:?}: lockstep run errored");
     assert_eq!(wall.snapshot.evictions, 0, "overcommit should not evict");
     assert_eq!(lock_snap.evictions, 0, "overcommit should not evict");
     // The run actually overcommitted: more concurrent sessions than the
@@ -199,6 +226,13 @@ fn wallclock_fingerprint_is_worker_count_independent() {
     let gen = LoadGenerator::new(SEED, Scenario::shared_prefix_decode(CLIENTS, PREFIX, STEPS));
     let one = gen.run(&base.clone().with_workers(1));
     let many = gen.run(&base.with_workers(stress_workers().max(2)));
+    for (label, run) in [("1 worker", &one), ("many workers", &many)] {
+        assert_eq!(
+            run.errors,
+            0,
+            "{label}: run errored; sheds: {}",
+            shed_causes(&run.snapshot)
+        );
+    }
     assert_eq!(one.fingerprint, many.fingerprint);
-    assert_eq!(one.errors + many.errors, 0);
 }

@@ -41,6 +41,7 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-core
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-models
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_int8
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib int8
 
 echo "==> scalar-forced backend: tensor + fold + int8 suites on the portable fallback"
@@ -48,6 +49,7 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib int8
 
 echo "==> cargo test -q --release -p apsq-serve  (server + determinism suite at release opt)"
