@@ -113,6 +113,209 @@ impl WorkloadRun {
     }
 }
 
+/// One layer's operands, generated (and at int8, packed) once.
+enum Operands {
+    GemmF32 {
+        a: Tensor,
+        b: Tensor,
+    },
+    /// `a` is `[tokens, ci]`; `b` is the `[ci, co]` weight packed at the
+    /// 64-channel step depth.
+    GemmInt8 {
+        a: Vec<i8>,
+        b: PackedI8,
+    },
+    /// `wmat` is `[co, ci·k·k]` row-major — the transposed-B layout
+    /// `matmul_bt` consumes.
+    ConvF32 {
+        input: Tensor,
+        wmat: Tensor,
+        k: usize,
+        stride: usize,
+    },
+    ConvInt8 {
+        input: Int8Tensor,
+        weight: Int8Tensor,
+        stride: usize,
+    },
+}
+
+/// One layer scaled to its MAC budget, with its operands built.
+struct PreparedLayer {
+    name: String,
+    repeat: usize,
+    macs_executed: u64,
+    macs_full: u64,
+    operands: Operands,
+}
+
+impl PreparedLayer {
+    /// Scales `layer` to at most `max_macs` multiply-accumulates (0 means
+    /// unlimited) by halving its parallel extents (tokens / spatial
+    /// output / output channels), never the reduction depth, and builds
+    /// the synthetic operands at `precision`.
+    fn new(layer: &LayerShape, max_macs: u64, precision: Precision) -> Self {
+        let is_gemm = layer.kh == 1 && layer.kw == 1 && layer.stride == 1;
+        let (operands, macs_executed) = if is_gemm {
+            let mut tokens = layer.ho * layer.wo;
+            let mut co = layer.co;
+            let ci = layer.ci;
+            while max_macs > 0 && (tokens * ci * co) as u64 > max_macs && (tokens > 1 || co > 1) {
+                if tokens >= co {
+                    tokens = (tokens / 2).max(1);
+                } else {
+                    co = (co / 2).max(1);
+                }
+            }
+            let operands = match precision {
+                Precision::F32 => Operands::GemmF32 {
+                    a: Tensor::from_vec(synthetic_f32(tokens * ci, 0x5eed), [tokens, ci]),
+                    b: Tensor::from_vec(synthetic_f32(ci * co, 0xca1f), [ci, co]),
+                },
+                Precision::Int8Apsq => Operands::GemmInt8 {
+                    a: synthetic_i8(tokens * ci, 0x5eed),
+                    b: PackedI8::from_kn(&synthetic_i8(ci * co, 0xca1f), co, co, ci, ci.min(64)),
+                },
+            };
+            (operands, (tokens * ci * co) as u64)
+        } else {
+            assert_eq!(
+                layer.kh, layer.kw,
+                "execute_layer runs conv layers through the square-kernel im2col GEMM path"
+            );
+            let (mut ho, mut wo, mut co) = (layer.ho, layer.wo, layer.co);
+            let k = layer.kh;
+            let (ci, stride) = (layer.ci, layer.stride);
+            let macs = |ho: usize, wo: usize, co: usize| (ho * wo * co * ci * k * k) as u64;
+            while max_macs > 0 && macs(ho, wo, co) > max_macs && (ho > 1 || wo > 1 || co > 1) {
+                if ho * wo >= co {
+                    ho = (ho / 2).max(1);
+                    wo = (wo / 2).max(1);
+                } else {
+                    co = (co / 2).max(1);
+                }
+            }
+            let hi = (ho - 1) * stride + k;
+            let wi = (wo - 1) * stride + k;
+            let operands = match precision {
+                Precision::F32 => Operands::ConvF32 {
+                    input: Tensor::from_vec(synthetic_f32(ci * hi * wi, 0x5eed), [ci, hi, wi]),
+                    wmat: Tensor::from_vec(
+                        synthetic_f32(co * ci * k * k, 0xca1f),
+                        [co, ci * k * k],
+                    ),
+                    k,
+                    stride,
+                },
+                Precision::Int8Apsq => Operands::ConvInt8 {
+                    input: Int8Tensor::from_vec(synthetic_i8(ci * hi * wi, 0x5eed), [ci, hi, wi]),
+                    weight: Int8Tensor::from_vec(
+                        synthetic_i8(co * ci * k * k, 0xca1f),
+                        [co, ci, k, k],
+                    ),
+                    stride,
+                },
+            };
+            (operands, macs(ho, wo, co))
+        };
+        PreparedLayer {
+            name: layer.name.clone(),
+            repeat: layer.repeat,
+            macs_executed,
+            macs_full: layer.macs() as u64,
+            operands,
+        }
+    }
+
+    /// Runs the layer's compute on `eng`: the GEMM or im2col + GEMM, and
+    /// at int8 the packed PSUM sweep plus one calibrating APSQ fold pass
+    /// (each step's scale committed from the layer's own PSUM stream).
+    fn run(&self, eng: &ExecEngine) -> LayerRun {
+        let mut psum_traffic = BufferTraffic::new();
+        let checksum = match &self.operands {
+            Operands::GemmF32 { a, b } => wrapping_bits_sum(eng.matmul(a, b).data()),
+            Operands::GemmInt8 { a, b } => {
+                let plane = a.len() / b.k() * b.n();
+                let mut psums = vec![0i32; b.steps() * plane];
+                eng.int8_packed_psums_into(a, b, &mut psums);
+                let mut out = vec![0i32; plane];
+                psum_traffic = ApsqFold::new().run(
+                    eng.backend(),
+                    &mut psums,
+                    plane,
+                    GroupSize::new(APSQ_GS),
+                    FoldScales::Calibrate(Bitwidth::INT8),
+                    &mut out,
+                );
+                wrapping_sum(&out)
+            }
+            Operands::ConvF32 {
+                input,
+                wmat,
+                k,
+                stride,
+            } => {
+                let lowered = eng.im2col(input, *k, *stride);
+                wrapping_bits_sum(eng.matmul_bt(&lowered, wmat).data())
+            }
+            Operands::ConvInt8 {
+                input,
+                weight,
+                stride,
+            } => wrapping_sum(eng.conv2d_i8_gemm(input, weight, *stride).data()),
+        };
+        LayerRun {
+            name: self.name.clone(),
+            repeat: self.repeat,
+            macs_executed: self.macs_executed,
+            macs_full: self.macs_full,
+            checksum,
+            psum_traffic,
+        }
+    }
+}
+
+/// A workload inventory scaled to a per-layer MAC budget at one
+/// [`Precision`], with every layer's synthetic operands generated and
+/// its int8 weights packed up front. [`Self::run`] then does only the
+/// compute — the PSUM sweep, the APSQ fold and the checksum — so a
+/// server that prefills the same inventory over and over builds its
+/// operands once, the way a weight-stationary array loads its weights
+/// once.
+pub struct PreparedWorkload {
+    workload: String,
+    layers: Vec<PreparedLayer>,
+}
+
+impl PreparedWorkload {
+    /// Scales every layer of `w` to at most `max_macs_per_layer` MACs
+    /// (0 = unlimited) and builds its operands at `precision`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-square convolution kernel.
+    pub fn new(w: &Workload, max_macs_per_layer: u64, precision: Precision) -> Self {
+        PreparedWorkload {
+            workload: w.name.clone(),
+            layers: w
+                .layers
+                .iter()
+                .map(|l| PreparedLayer::new(l, max_macs_per_layer, precision))
+                .collect(),
+        }
+    }
+
+    /// Executes every layer through the engine (each distinct layer once;
+    /// `repeat` is carried as metadata). Bit-identical for every engine
+    /// thread count and kernel backend, and across repeated runs.
+    pub fn run(&self, eng: &ExecEngine) -> WorkloadRun {
+        WorkloadRun {
+            workload: self.workload.clone(),
+            layers: self.layers.iter().map(|l| l.run(eng)).collect(),
+        }
+    }
+}
+
 /// Executes one layer through the engine at the given [`Precision`],
 /// scaled to at most `max_macs` multiply-accumulates (0 means
 /// unlimited). Scaling halves the parallel extents (tokens / spatial
@@ -125,7 +328,7 @@ impl WorkloadRun {
 ///
 /// # Panics
 ///
-/// Panics if the layer geometry is degenerate (zero extents are already
+/// Panics on a non-square convolution kernel (zero extents are already
 /// rejected by [`LayerShape`]'s constructors).
 pub fn execute_layer(
     eng: &ExecEngine,
@@ -133,131 +336,21 @@ pub fn execute_layer(
     max_macs: u64,
     precision: Precision,
 ) -> LayerRun {
-    let macs_full = layer.macs() as u64;
-    let is_gemm = layer.kh == 1 && layer.kw == 1 && layer.stride == 1;
-    let mut psum_traffic = BufferTraffic::new();
-    let (checksum, macs_executed) = if is_gemm {
-        let mut tokens = layer.ho * layer.wo;
-        let mut co = layer.co;
-        let ci = layer.ci;
-        while max_macs > 0 && (tokens * ci * co) as u64 > max_macs && (tokens > 1 || co > 1) {
-            if tokens >= co {
-                tokens = (tokens / 2).max(1);
-            } else {
-                co = (co / 2).max(1);
-            }
-        }
-        let checksum = match precision {
-            Precision::F32 => {
-                let a = Tensor::from_vec(synthetic_f32(tokens * ci, 0x5eed), [tokens, ci]);
-                let b = Tensor::from_vec(synthetic_f32(ci * co, 0xca1f), [ci, co]);
-                wrapping_bits_sum(eng.matmul(&a, &b).data())
-            }
-            Precision::Int8Apsq => {
-                let a = synthetic_i8(tokens * ci, 0x5eed);
-                // The [ci, co] weight fill packed at the 64-channel step
-                // depth: one sweep writes every PSUM tile, and one
-                // calibrating fold pass commits each step's scale and
-                // quantizes it.
-                let k_tile = ci.min(64);
-                let b = PackedI8::from_kn(&synthetic_i8(ci * co, 0xca1f), co, co, ci, k_tile);
-                let mut psums = vec![0i32; b.steps() * tokens * co];
-                eng.int8_packed_psums_into(&a, &b, &mut psums);
-                let mut out = vec![0i32; tokens * co];
-                psum_traffic = ApsqFold::new().run(
-                    eng.backend(),
-                    &mut psums,
-                    tokens * co,
-                    GroupSize::new(APSQ_GS),
-                    FoldScales::Calibrate(Bitwidth::INT8),
-                    &mut out,
-                );
-                wrapping_sum(&out)
-            }
-        };
-        (checksum, (tokens * ci * co) as u64)
-    } else {
-        assert_eq!(
-            layer.kh, layer.kw,
-            "execute_layer runs conv layers through the square-kernel im2col GEMM path"
-        );
-        let (mut ho, mut wo, mut co) = (layer.ho, layer.wo, layer.co);
-        let k = layer.kh;
-        let (ci, stride) = (layer.ci, layer.stride);
-        let macs = |ho: usize, wo: usize, co: usize| (ho * wo * co * ci * k * k) as u64;
-        while max_macs > 0 && macs(ho, wo, co) > max_macs && (ho > 1 || wo > 1 || co > 1) {
-            if ho * wo >= co {
-                ho = (ho / 2).max(1);
-                wo = (wo / 2).max(1);
-            } else {
-                co = (co / 2).max(1);
-            }
-        }
-        let hi = (ho - 1) * stride + k;
-        let wi = (wo - 1) * stride + k;
-        let checksum = match precision {
-            Precision::F32 => {
-                let input = Tensor::from_vec(synthetic_f32(ci * hi * wi, 0x5eed), [ci, hi, wi]);
-                let cols = ci * k * k;
-                // Weights generated [Co, Ci·K·K] row-major — exactly the
-                // transposed-B layout matmul_bt consumes.
-                let wmat = Tensor::from_vec(synthetic_f32(co * cols, 0xca1f), [co, cols]);
-                let lowered = eng.im2col(&input, k, stride);
-                wrapping_bits_sum(eng.matmul_bt(&lowered, &wmat).data())
-            }
-            Precision::Int8Apsq => {
-                let input = Int8Tensor::from_vec(synthetic_i8(ci * hi * wi, 0x5eed), [ci, hi, wi]);
-                let weight =
-                    Int8Tensor::from_vec(synthetic_i8(co * ci * k * k, 0xca1f), [co, ci, k, k]);
-                wrapping_sum(eng.conv2d_i8_gemm(&input, &weight, stride).data())
-            }
-        };
-        (checksum, macs(ho, wo, co))
-    };
-    LayerRun {
-        name: layer.name.clone(),
-        repeat: layer.repeat,
-        macs_executed,
-        macs_full,
-        checksum,
-        psum_traffic,
-    }
+    PreparedLayer::new(layer, max_macs, precision).run(eng)
 }
 
 /// Executes every layer of a workload inventory through the engine (each
 /// distinct layer once; `repeat` is carried as metadata). `max_macs_per_layer`
-/// bounds the executed size per layer (0 = unlimited).
+/// bounds the executed size per layer (0 = unlimited). Prepares the
+/// operands and runs them once — [`PreparedWorkload`] keeps them for
+/// repeated runs.
 pub fn execute_workload(
     eng: &ExecEngine,
     w: &Workload,
     max_macs_per_layer: u64,
     precision: Precision,
 ) -> WorkloadRun {
-    WorkloadRun {
-        workload: w.name.clone(),
-        layers: w
-            .layers
-            .iter()
-            .map(|l| execute_layer(eng, l, max_macs_per_layer, precision))
-            .collect(),
-    }
-}
-
-/// Executes a coalesced batch of workload instances back-to-back on one
-/// engine context — the serving-layer entry point for a prefill batch.
-/// Each `(workload, max_macs_per_layer)` pair runs exactly as
-/// [`execute_workload`] would alone, so results are independent of how
-/// requests were grouped; coalescing amortizes the per-dispatch cost of
-/// waking an executor.
-pub fn execute_workloads(
-    eng: &ExecEngine,
-    batch: &[(&Workload, u64)],
-    precision: Precision,
-) -> Vec<WorkloadRun> {
-    batch
-        .iter()
-        .map(|(w, budget)| execute_workload(eng, w, *budget, precision))
-        .collect()
+    PreparedWorkload::new(w, max_macs_per_layer, precision).run(eng)
 }
 
 /// Deterministic pseudo-random i8 fill (xorshift-mixed index), independent
@@ -401,14 +494,17 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_batch_matches_individual_runs() {
-        let w1 = tiny_bert();
-        let w2 = tiny_bert();
-        let eng = ExecEngine::serial();
-        let p = Precision::Int8Apsq;
-        let batched = execute_workloads(&eng, &[(&w1, 0), (&w2, 50_000)], p);
-        assert_eq!(batched[0], execute_workload(&eng, &w1, 0, p));
-        assert_eq!(batched[1], execute_workload(&eng, &w2, 50_000, p));
+    fn prepared_workload_reruns_match_one_shot_execution() {
+        let w = crate::bert_base_128();
+        for precision in [Precision::F32, Precision::Int8Apsq] {
+            let prepared = PreparedWorkload::new(&w, 30_000, precision);
+            let once = execute_workload(&ExecEngine::serial(), &w, 30_000, precision);
+            // Runs neither consume nor perturb the prepared operands, and
+            // the engine's thread count never shows in the bits.
+            assert_eq!(prepared.run(&ExecEngine::serial()), once);
+            let par = ExecEngine::with_threads(3).with_spawn_threshold(0);
+            assert_eq!(prepared.run(&par), once);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! framework. [`execute_workload`] additionally *runs* an inventory as
 //! real INT8 GEMMs/convs through an [`apsq_tensor::ExecEngine`], so the
 //! same shapes double as a determinism and throughput harness for the
-//! parallel execution stack. Inventories are reconstructed from the architectures'
+//! parallel execution stack; a [`PreparedWorkload`] builds those operands
+//! once and reruns only the compute, as the serving layer's prefill lane
+//! does. Inventories are reconstructed from the architectures'
 //! published hyper-parameters; parameter- and MAC-count sanity tests pin
 //! them to the published model scales.
 //!
@@ -31,7 +33,7 @@ mod segformer;
 pub use bert::{bert_base_128, bert_workload, BertConfig};
 pub use efficientvit::{efficientvit_b1, efficientvit_b1_512};
 pub use exec::{
-    execute_layer, execute_workload, execute_workloads, LayerRun, Precision, WorkloadRun,
+    execute_layer, execute_workload, LayerRun, Precision, PreparedWorkload, WorkloadRun,
 };
 pub use llama::{llama2_7b_prefill_decode, llama_decode_step, llama_prefill, LlamaConfig};
 pub use segformer::{segformer_b0, segformer_b0_512};

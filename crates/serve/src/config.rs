@@ -197,7 +197,10 @@ impl DegradationPolicy {
 /// advances only when [`crate::ServerHandle::tick`] is called: each tick
 /// sheds expired deadlines, applies the degradation ladder, dispatches at
 /// most `decode_units_per_tick` decode steps and `prefill_units_per_tick`
-/// prefills, and returns once every dispatched batch has completed. That
+/// prefills, and returns once every dispatched batch has completed. The
+/// decode steps are cut into batches of at most
+/// ⌈`decode_units_per_tick` / `workers`⌉ rows and each prefill runs
+/// alone, so the tick spreads over the whole worker pool. That
 /// lockstep barrier is what makes overload scheduling deterministic: every
 /// shed/dispatch decision happens on a quiesced system, so it is a pure
 /// function of the submitted traffic — independent of worker count and

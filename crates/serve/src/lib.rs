@@ -15,7 +15,7 @@
 //!                                     │          │
 //!                decode lane: decode_batch_paged_with over the sessions'
 //!                KV block tables      │          │
-//!                prefill lane: execute_workloads on bert / segformer /
+//!                prefill lane: PreparedWorkload::run on bert / segformer /
 //!                llama inventories    ▼          ▼
 //!                                SessionManager checkin ── responses ──▶
 //!                                (block tables ──▶ shared BlockAllocator)
@@ -65,6 +65,10 @@
 //! caps low-priority decode lengths, guards KV headroom against new
 //! best-effort sessions, and sheds sub-high prefill before touching
 //! decode (typed [`ServeError::Degraded`] with the rung named).
+//! Each tick's decode steps are cut into work items of at most
+//! ⌈`decode_units_per_tick` / `workers`⌉ rows and every prefill is its
+//! own item, so a saturated tick runs on the whole worker pool; the
+//! completions are booked in dispatch order once the tick drains.
 //! Because ticks only run on a quiesced system, every shed and dispatch
 //! decision is a pure function of the seed: the [`OpenLoopGenerator`]
 //! drives seeded Poisson/bursty arrival schedules *past* capacity and

@@ -25,20 +25,21 @@ use crate::request::{
 use crate::session::SessionKv;
 use apsq_dataflow::Workload;
 use apsq_models::{
-    bert_base_128, execute_workloads, llama_prefill, segformer_b0_512, LlamaConfig, Precision,
+    bert_base_128, llama_prefill, segformer_b0_512, LlamaConfig, Precision, PreparedWorkload,
 };
 use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, PagedKvState};
 use apsq_tensor::ExecEngine;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Everything flowing into the scheduler.
 enum Event {
     Submit(Pending),
-    Done(BatchDone),
+    /// A work item's completion, tagged with its dispatch sequence number.
+    Done(u64, BatchDone),
     /// Advance the virtual clock to `now` and run one lockstep scheduling
     /// round; `ack` fires once every batch dispatched this tick completed.
     Tick {
@@ -157,28 +158,35 @@ impl DecodeModel {
     }
 }
 
-/// The prefill inventories servable by this instance, built once.
+/// The prefill inventories servable by this instance, each prepared at
+/// the server's MAC budget and precision on first use: an inventory no
+/// request names costs nothing, and every prefill after the first runs
+/// only the compute on operands built once.
 struct PrefillLib {
-    bert: Workload,
-    segformer: Workload,
-    llama: Workload,
+    budget: u64,
+    precision: Precision,
+    prepared: [OnceLock<PreparedWorkload>; 3],
 }
 
 impl PrefillLib {
-    fn build() -> Self {
+    fn new(budget: u64, precision: Precision) -> Self {
         PrefillLib {
-            bert: bert_base_128(),
-            segformer: segformer_b0_512(),
-            llama: llama_prefill(&LlamaConfig::llama2_7b(), 128),
+            budget,
+            precision,
+            prepared: Default::default(),
         }
     }
 
-    fn get(&self, model: crate::request::PrefillModel) -> &Workload {
-        match model {
-            crate::request::PrefillModel::BertBase128 => &self.bert,
-            crate::request::PrefillModel::SegformerB0 => &self.segformer,
-            crate::request::PrefillModel::LlamaPrefill128 => &self.llama,
-        }
+    fn get(&self, model: crate::request::PrefillModel) -> &PreparedWorkload {
+        let (slot, inventory): (usize, fn() -> Workload) = match model {
+            crate::request::PrefillModel::BertBase128 => (0, bert_base_128),
+            crate::request::PrefillModel::SegformerB0 => (1, segformer_b0_512),
+            crate::request::PrefillModel::LlamaPrefill128 => {
+                (2, || llama_prefill(&LlamaConfig::llama2_7b(), 128))
+            }
+        };
+        self.prepared[slot]
+            .get_or_init(|| PreparedWorkload::new(&inventory(), self.budget, self.precision))
     }
 }
 
@@ -319,7 +327,7 @@ impl Server {
     pub fn start(cfg: &ServeConfig) -> (Server, Receiver<Response>) {
         cfg.validate();
         let model = Arc::new(DecodeModel::build(cfg));
-        let lib = Arc::new(PrefillLib::build());
+        let lib = Arc::new(PrefillLib::new(cfg.prefill_max_macs, cfg.precision));
         // One paged KV pool for every session and layer, at the decode
         // precision: the byte budget is carved into kv_block_tokens-sized
         // blocks handed out on demand.
@@ -336,7 +344,7 @@ impl Server {
         }));
         let (evt_tx, evt_rx) = mpsc::channel::<Event>();
         let (resp_tx, resp_rx) = mpsc::channel::<Response>();
-        let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
+        let (work_tx, work_rx) = mpsc::channel::<(u64, WorkItem)>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let shared = Arc::new(Shared {
             depth: AtomicUsize::new(0),
@@ -352,12 +360,8 @@ impl Server {
                 let work_rx = Arc::clone(&work_rx);
                 let evt_tx = evt_tx.clone();
                 let eng = ExecEngine::with_threads(cfg.engine_threads);
-                let budget = cfg.prefill_max_macs;
-                let precision = cfg.precision;
                 std::thread::spawn(move || {
-                    worker_loop(
-                        &model, &lib, &alloc, &work_rx, &evt_tx, eng, budget, precision,
-                    )
+                    worker_loop(&model, &lib, &alloc, &work_rx, &evt_tx, eng)
                 })
             })
             .collect();
@@ -429,22 +433,20 @@ impl Drop for Server {
     }
 }
 
-/// Executor thread: pull a coalesced batch, run it on this worker's
-/// engine, report completion. Exits when the work channel closes.
-#[allow(clippy::too_many_arguments)]
+/// Executor thread: pull a work item, run it on this worker's engine,
+/// report its completion under the item's dispatch sequence number.
+/// Exits when the work channel closes.
 fn worker_loop(
     model: &DecodeModel,
     lib: &PrefillLib,
     pool: &BlockPool,
-    work_rx: &Mutex<Receiver<WorkItem>>,
+    work_rx: &Mutex<Receiver<(u64, WorkItem)>>,
     evt_tx: &Sender<Event>,
     eng: ExecEngine,
-    prefill_budget: u64,
-    precision: Precision,
 ) {
     loop {
         // Hold the lock only while pulling, never while executing.
-        let item = match work_rx.lock().expect("work queue poisoned").recv() {
+        let (seq, item) = match work_rx.lock().expect("work queue poisoned").recv() {
             Ok(i) => i,
             Err(_) => return,
         };
@@ -454,9 +456,9 @@ fn worker_loop(
                 states,
                 reserved,
             } => run_decode(model, &eng, pool, items, states, reserved),
-            WorkItem::Prefill { items } => run_prefill(lib, &eng, items, prefill_budget, precision),
+            WorkItem::Prefill { items } => run_prefill(lib, &eng, items),
         };
-        if evt_tx.send(Event::Done(done)).is_err() {
+        if evt_tx.send(Event::Done(seq, done)).is_err() {
             return;
         }
     }
@@ -519,32 +521,21 @@ fn run_decode(
     }
 }
 
-/// Runs one coalesced prefill batch back-to-back on this worker's engine
-/// at the server's configured precision.
-fn run_prefill(
-    lib: &PrefillLib,
-    eng: &ExecEngine,
-    items: Vec<Pending>,
-    budget: u64,
-    precision: Precision,
-) -> BatchDone {
-    let batch: Vec<(&Workload, u64)> = items
-        .iter()
-        .map(|p| match p.req.kind {
-            RequestKind::Prefill { model } => (lib.get(model), budget),
-            RequestKind::Decode { .. } => unreachable!("decode in prefill batch"),
-        })
-        .collect();
-    let runs = execute_workloads(eng, &batch, precision);
+/// Runs one prefill batch back-to-back on this worker's engine: each
+/// request runs its inventory's prepared operands (built on first use at
+/// the server's MAC budget and precision), so a payload never depends on
+/// how requests were grouped.
+fn run_prefill(lib: &PrefillLib, eng: &ExecEngine, items: Vec<Pending>) -> BatchDone {
     let occupancy = items.len();
     let done_items = items
         .into_iter()
-        .zip(runs)
-        .map(|(p, run)| {
-            let name = match p.req.kind {
-                RequestKind::Prefill { model } => model.name(),
-                RequestKind::Decode { .. } => unreachable!(),
+        .map(|p| {
+            let model = match p.req.kind {
+                RequestKind::Prefill { model } => model,
+                RequestKind::Decode { .. } => unreachable!("decode in prefill batch"),
             };
+            let run = lib.get(model).run(eng);
+            let name = model.name();
             DoneItem {
                 submitted: p.submitted,
                 result: Ok(Payload::Prefill {
@@ -573,7 +564,7 @@ fn scheduler_loop(
     alloc: Arc<BlockPool>,
     shared: Arc<Shared>,
     evt_rx: Receiver<Event>,
-    work_tx: Sender<WorkItem>,
+    work_tx: Sender<(u64, WorkItem)>,
     resp_tx: Sender<Response>,
 ) -> MetricsSnapshot {
     // lint: allow(wall-clock-in-scheduling) -- metrics only: serve-loop uptime anchor, reported in the snapshot, never read by scheduling
@@ -598,6 +589,19 @@ fn scheduler_loop(
     // request went back to the batcher, and the decode lane waits for the
     // next completion to return or de-duplicate blocks before retrying.
     let mut capacity_wait = false;
+    // Dispatch sequence number of the next work item.
+    let mut next_seq = 0u64;
+    let mut dispatch = |work: WorkItem| {
+        work_tx.send((next_seq, work)).expect("worker pool alive");
+        next_seq += 1;
+    };
+    // Completions waiting for their bookkeeping. In virtual time a tick's
+    // work items finish in any order, but their bookkeeping runs in
+    // dispatch order once the last one lands: promoting a session's held
+    // successor draws a batcher sequence number, which breaks EDF ties at
+    // the next tick, so completion order must not depend on which worker
+    // finished first. Wall-clock completions are booked on arrival.
+    let mut completed: Vec<(u64, BatchDone)> = Vec::new();
     let mut draining = false;
     // Virtual-time state: the lockstep clock, the degradation-ladder
     // level with its hysteresis streaks, and the ack deferred until the
@@ -679,9 +683,7 @@ fn scheduler_loop(
                     metrics.record_batch(items.len());
                     idle -= 1;
                     inflight += 1;
-                    work_tx
-                        .send(WorkItem::Prefill { items })
-                        .expect("worker pool alive");
+                    dispatch(WorkItem::Prefill { items });
                 }
                 continue;
             }
@@ -750,7 +752,7 @@ fn scheduler_loop(
             };
             idle -= 1;
             inflight += 1;
-            work_tx.send(work).expect("worker pool alive");
+            dispatch(work);
         }
 
         if draining && inflight == 0 && batcher.is_empty() {
@@ -812,48 +814,56 @@ fn scheduler_loop(
                     },
                     RequestKind::Prefill { .. } => batcher.push(p),
                 },
-                Event::Done(done) => {
-                    idle += 1;
-                    inflight -= 1;
-                    capacity_wait = false;
-                    reserved_outstanding -= done.reserved;
-                    for (sid, st) in done.states {
-                        sessions.checkin(sid, st);
-                    }
-                    for item in done.items {
-                        let session = item.req.session();
-                        // A successful decode folds its token into the
-                        // session's prefix chain and may hash-cons a
-                        // just-filled block against older sessions.
-                        let decoded = match (&item.result, &item.req.kind) {
-                            (Ok(_), &RequestKind::Decode { token, .. }) => Some(token),
-                            _ => None,
-                        };
-                        respond(
-                            &mut metrics,
-                            Pending {
-                                req: item.req,
-                                submitted: item.submitted,
-                            },
-                            item.result,
-                            done.occupancy,
-                            done.lane,
-                            vnow,
-                        );
-                        if let Some(s) = session {
-                            if let Some(token) = decoded {
-                                sessions.note_decoded(s, token);
-                            }
-                            sessions.release(s);
-                            batcher.on_session_done(s);
+                Event::Done(seq, done) if virtual_mode && completed.len() + 1 < inflight => {
+                    completed.push((seq, done));
+                }
+                Event::Done(seq, done) => {
+                    completed.push((seq, done));
+                    completed.sort_unstable_by_key(|&(seq, _)| seq);
+                    for (_, done) in completed.drain(..) {
+                        idle += 1;
+                        inflight -= 1;
+                        capacity_wait = false;
+                        reserved_outstanding -= done.reserved;
+                        for (sid, st) in done.states {
+                            sessions.checkin(sid, st);
                         }
-                    }
-                    if done.lane == Lane::Decode {
-                        let (in_use, shared_blocks, tokens, block_tokens) = sessions.block_gauges();
-                        metrics.sample_blocks(in_use, shared_blocks, tokens, block_tokens);
-                        let gathered = pool.contention().gathered_bytes;
-                        metrics.sample_gathered_bytes(gathered - last_gathered);
-                        last_gathered = gathered;
+                        for item in done.items {
+                            let session = item.req.session();
+                            // A successful decode folds its token into the
+                            // session's prefix chain and may hash-cons a
+                            // just-filled block against older sessions.
+                            let decoded = match (&item.result, &item.req.kind) {
+                                (Ok(_), &RequestKind::Decode { token, .. }) => Some(token),
+                                _ => None,
+                            };
+                            respond(
+                                &mut metrics,
+                                Pending {
+                                    req: item.req,
+                                    submitted: item.submitted,
+                                },
+                                item.result,
+                                done.occupancy,
+                                done.lane,
+                                vnow,
+                            );
+                            if let Some(s) = session {
+                                if let Some(token) = decoded {
+                                    sessions.note_decoded(s, token);
+                                }
+                                sessions.release(s);
+                                batcher.on_session_done(s);
+                            }
+                        }
+                        if done.lane == Lane::Decode {
+                            let (in_use, shared_blocks, tokens, block_tokens) =
+                                sessions.block_gauges();
+                            metrics.sample_blocks(in_use, shared_blocks, tokens, block_tokens);
+                            let gathered = pool.contention().gathered_bytes;
+                            metrics.sample_gathered_bytes(gathered - last_gathered);
+                            last_gathered = gathered;
+                        }
                     }
                     // The lockstep barrier: the tick's ack fires only
                     // once everything it dispatched has drained.
@@ -955,22 +965,23 @@ fn scheduler_loop(
                         );
                     }
 
-                    // 4. Budgeted dispatch, two-phase: plan every batch
-                    // (reservations + checkouts) while the workers are
-                    // idle, then send them all — allocator state during
-                    // planning is race-free by construction.
-                    let mut planned: Vec<WorkItem> = Vec::new();
-                    let mut dispatched_decode = 0usize;
-                    let mut dispatched_prefill = 0usize;
+                    // 4. Budgeted dispatch, two-phase: decide every
+                    // decode step in EDF order (sheds, reservations,
+                    // checkouts) while the workers are idle, then cut the
+                    // decided rows into work items for the whole pool —
+                    // allocator state during planning is race-free by
+                    // construction, and how the rows are cut changes no
+                    // decision and no bit (batched decode is
+                    // row-independent).
+                    let mut rows: Vec<(Pending, SessionId, SessionKv, usize)> = Vec::new();
+                    let mut tick_reserved = 0usize;
                     let mut budget = cfg.slo.decode_units_per_tick;
                     while budget > 0 {
                         let items = batcher.take_up_to(Lane::Decode, budget);
                         if items.is_empty() {
                             break;
                         }
-                        let mut batch = Vec::with_capacity(items.len());
-                        let mut states = Vec::with_capacity(items.len());
-                        let mut batch_reserved = 0usize;
+                        let taken_before = rows.len();
                         for p in items {
                             let session =
                                 p.req.session().expect("decode lane request has a session");
@@ -1005,7 +1016,7 @@ fn scheduler_loop(
                                 && degrade.kv_guard_free_blocks > 0
                                 && sessions
                                     .blocks_free()
-                                    .saturating_sub(reserved_outstanding + batch_reserved)
+                                    .saturating_sub(reserved_outstanding + tick_reserved)
                                     < degrade.kv_guard_free_blocks
                             {
                                 shared.depth.fetch_sub(1, Ordering::Relaxed);
@@ -1046,8 +1057,10 @@ fn scheduler_loop(
                                 batcher.on_session_done(session);
                                 continue;
                             }
-                            match sessions.reserve(session, reserved_outstanding + batch_reserved) {
-                                Ok(blocks) => batch_reserved += blocks,
+                            let blocks = match sessions
+                                .reserve(session, reserved_outstanding + tick_reserved)
+                            {
+                                Ok(blocks) => blocks,
                                 Err(e) => {
                                     shared.depth.fetch_sub(1, Ordering::Relaxed);
                                     metrics.record_shed(ShedCause::SessionCapacity);
@@ -1057,24 +1070,41 @@ fn scheduler_loop(
                                     batcher.on_session_done(session);
                                     continue;
                                 }
-                            }
-                            states.push((session, sessions.checkout(session)));
-                            batch.push(p);
+                            };
+                            tick_reserved += blocks;
+                            rows.push((p, session, sessions.checkout(session), blocks));
                         }
-                        if batch.is_empty() {
-                            continue;
+                        budget -= (rows.len() - taken_before).min(budget);
+                    }
+                    let dispatched_decode = rows.len();
+                    reserved_outstanding += tick_reserved;
+                    shared.depth.fetch_sub(rows.len(), Ordering::Relaxed);
+                    // Every worker gets a share of the tick's decode
+                    // budget: at most ⌈budget / workers⌉ rows per item,
+                    // each item with its own states and reservation.
+                    let rows_per_item = cfg.slo.decode_units_per_tick.div_ceil(cfg.workers);
+                    let mut planned: Vec<WorkItem> = Vec::new();
+                    while !rows.is_empty() {
+                        let mut items = Vec::with_capacity(rows_per_item);
+                        let mut states = Vec::with_capacity(rows_per_item);
+                        let mut reserved = 0usize;
+                        for (p, session, state, blocks) in
+                            rows.drain(..rows.len().min(rows_per_item))
+                        {
+                            items.push(p);
+                            states.push((session, state));
+                            reserved += blocks;
                         }
-                        budget -= batch.len().min(budget);
-                        dispatched_decode += batch.len();
-                        reserved_outstanding += batch_reserved;
-                        shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-                        metrics.record_batch(batch.len());
+                        metrics.record_batch(items.len());
                         planned.push(WorkItem::Decode {
-                            items: batch,
+                            items,
                             states,
-                            reserved: batch_reserved,
+                            reserved,
                         });
                     }
+                    // Prefill requests run independently, so each is its
+                    // own work item and spreads over the pool.
+                    let mut dispatched_prefill = 0usize;
                     let mut pbudget = cfg.slo.prefill_units_per_tick;
                     while pbudget > 0 {
                         let items = batcher.take_up_to(Lane::Prefill, pbudget);
@@ -1084,8 +1114,10 @@ fn scheduler_loop(
                         pbudget -= items.len().min(pbudget);
                         dispatched_prefill += items.len();
                         shared.depth.fetch_sub(items.len(), Ordering::Relaxed);
-                        metrics.record_batch(items.len());
-                        planned.push(WorkItem::Prefill { items });
+                        for p in items {
+                            metrics.record_batch(1);
+                            planned.push(WorkItem::Prefill { items: vec![p] });
+                        }
                     }
 
                     let td = TickDone {
@@ -1100,7 +1132,7 @@ fn scheduler_loop(
                     } else {
                         for work in planned {
                             inflight += 1;
-                            work_tx.send(work).expect("worker pool alive");
+                            dispatch(work);
                         }
                         pending_ack = Some((ack, td));
                     }

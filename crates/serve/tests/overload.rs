@@ -4,8 +4,8 @@
 //! these outcomes are deterministic, so the tests assert exact counts.
 
 use apsq_serve::{
-    ArrivalProcess, DegradationPolicy, OpenLoopGenerator, OverloadScenario, Payload, PrefillModel,
-    Priority, Request, Response, ServeConfig, ServeError, Slo, SloPolicy,
+    ArrivalProcess, DegradationPolicy, OpenLoopGenerator, OverloadScenario, Payload, Precision,
+    PrefillModel, Priority, Request, Response, ServeConfig, ServeError, Slo, SloPolicy,
 };
 
 fn tiny_cfg() -> ServeConfig {
@@ -388,4 +388,132 @@ fn open_loop_overload_accounts_every_shed_to_a_typed_cause() {
     );
     assert!(snap.goodput <= report.ok);
     assert!(report.fingerprint != 0);
+}
+
+/// The repository benchmark's `overload_int8` server: int8, 8 decode
+/// steps and 2 prefills per tick, a 32-deep queue, 200k-MAC prefills.
+fn overload_int8_cfg(workers: usize) -> ServeConfig {
+    let mut cfg = ServeConfig::smoke().with_precision(Precision::Int8Apsq);
+    cfg.workers = workers;
+    cfg.engine_threads = 1;
+    cfg.prefill_max_macs = 200_000;
+    cfg.queue_capacity = 32;
+    cfg.slo = SloPolicy::virtual_time(8, 2, 32);
+    cfg
+}
+
+/// Completion fingerprint of [`overload_int8_cfg`] under the `mixed_slo`
+/// mix at 2× decode capacity, 60 ticks of arrivals, seed 1.
+const OVERLOAD_INT8_FINGERPRINT: u64 = 0x55a9_c39b_7454_09b3;
+
+/// The overload fingerprint is a constant: not only equal across worker
+/// counts, but equal to the value recorded before the tick was split
+/// across workers — a scheduling change that moves any decision or bit
+/// fails here, not only in the benchmark.
+#[test]
+fn overload_int8_fingerprint_is_pinned_at_every_worker_count() {
+    let probe = OverloadScenario::mixed_slo(ArrivalProcess::Poisson { lambda: 1.0 }, 1);
+    let lambda = 2.0 * 8.0 / probe.mean_units_per_arrival();
+    let scenario = OverloadScenario::mixed_slo(ArrivalProcess::Poisson { lambda }, 60);
+    for workers in 1..=3 {
+        let report = OpenLoopGenerator::new(1, scenario.clone()).run(&overload_int8_cfg(workers));
+        assert!(
+            report.errors + report.client_shed > 0,
+            "no overload provoked"
+        );
+        assert_eq!(
+            report.fingerprint, OVERLOAD_INT8_FINGERPRINT,
+            "{workers} workers: {:#018x}",
+            report.fingerprint
+        );
+    }
+}
+
+/// A saturated tick spreads over the whole worker pool: the decode budget
+/// is cut into work items of at most ⌈budget / workers⌉ rows, and each
+/// prefill request is its own item. The cut shows in every response's
+/// `batch_size` and in the snapshot's batch counts, so a regression to
+/// one decode batch per tick fails here.
+#[test]
+fn saturated_tick_splits_decode_across_workers() {
+    // (workers, rows per decode item, batch-occupancy histogram with the
+    // two single-request prefill items).
+    let shapes = [
+        (1, vec![8], vec![(1, 2), (8, 1)]),
+        (2, vec![4, 4], vec![(1, 2), (4, 2)]),
+        (3, vec![3, 3, 2], vec![(1, 2), (2, 1), (3, 2)]),
+    ];
+    for (workers, decode_items, hist) in shapes {
+        let mut cfg = virtual_cfg(8, 2, 32);
+        cfg.workers = workers;
+        let (server, rx) = apsq_serve::Server::start(&cfg);
+        let h = server.handle();
+        for s in 0..8 {
+            h.submit(Request::decode(s, s, 0)).unwrap();
+        }
+        h.submit(Request::prefill(100, PrefillModel::BertBase128))
+            .unwrap();
+        h.submit(Request::prefill(101, PrefillModel::BertBase128))
+            .unwrap();
+        let td = h.tick(0).unwrap();
+        assert_eq!((td.dispatched_decode, td.dispatched_prefill), (8, 2));
+        let responses: Vec<Response> = rx.try_iter().collect();
+        assert_eq!(responses.len(), 10, "{workers} workers");
+        let mut decode_sizes: Vec<usize> = responses
+            .iter()
+            .filter(|r| matches!(r.result, Ok(Payload::Decode { .. })))
+            .map(|r| r.batch_size)
+            .collect();
+        decode_sizes.sort_unstable();
+        let mut expected: Vec<usize> = decode_items
+            .iter()
+            .flat_map(|&rows| std::iter::repeat_n(rows, rows))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(decode_sizes, expected, "{workers} workers");
+        assert!(responses
+            .iter()
+            .filter(|r| matches!(r.result, Ok(Payload::Prefill { .. })))
+            .all(|r| r.batch_size == 1));
+        let snap = server.shutdown();
+        assert_eq!(snap.batches, decode_items.len() as u64 + 2);
+        assert_eq!(snap.batch_occupancy_max, decode_items[0]);
+        assert_eq!(snap.batch_occupancy_hist, hist, "{workers} workers");
+    }
+}
+
+/// A tick's work items finish in whatever order the workers do, but their
+/// bookkeeping runs in dispatch order. Promoting a session's held
+/// successor draws the batcher sequence number that breaks EDF ties at
+/// the next tick, so booking completions as they land would make which
+/// request meets its deadline depend on worker timing.
+#[test]
+fn tick_bookkeeping_follows_dispatch_order() {
+    let cfg = virtual_cfg(2, 1, 16);
+    assert_eq!(cfg.workers, 2);
+    for _ in 0..8 {
+        let (server, rx) = apsq_serve::Server::start(&cfg);
+        let h = server.handle();
+        let late = Slo::new(Priority::Normal, 1);
+        // Tick 0 serves A1 and B1 on one worker each; C1 waits.
+        h.submit(Request::decode(1, 10, 0)).unwrap();
+        h.submit(Request::decode(2, 20, 0)).unwrap();
+        h.submit(Request::decode(3, 30, 0).with_slo(late)).unwrap();
+        // Held behind A1 and B1; promoted as those complete.
+        h.submit(Request::decode(4, 10, 0).with_slo(late)).unwrap();
+        h.submit(Request::decode(5, 20, 0).with_slo(late)).unwrap();
+        for now in 0..3 {
+            h.tick(now).unwrap();
+        }
+        let mut results: Vec<(u64, bool)> =
+            rx.try_iter().map(|r| (r.id, r.result.is_ok())).collect();
+        results.sort_unstable();
+        // Tick 1 serves C1 and A2 (promoted first); B2 ties with A2 on
+        // priority and deadline, loses on sequence, and expires at tick 2.
+        assert_eq!(
+            results,
+            [(1, true), (2, true), (3, true), (4, true), (5, false)]
+        );
+        server.shutdown();
+    }
 }

@@ -44,13 +44,14 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptes
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib int8
 
-echo "==> scalar-forced backend: tensor + fold + int8 suites on the portable fallback"
+echo "==> scalar-forced backend: tensor + fold + int8 + pinned overload suites on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib int8
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-serve --test overload
 
 echo "==> cargo test -q --release -p apsq-serve  (server + determinism suite at release opt)"
 cargo test -q --release -p apsq-serve
